@@ -21,7 +21,7 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use cdmm_bench::BenchEnv;
-use cdmm_core::{prepare, PipelineConfig, Prepared};
+use cdmm_core::{prepare, PipelineConfig, PolicySpec, Prepared};
 use cdmm_trace::{EventRef, EventSource};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::lru::Lru;
@@ -123,7 +123,12 @@ fn main() -> ExitCode {
     if let Some(tracer) = env.tracer() {
         for p in &prepared {
             let mut sink = SharedSink::new(tracer);
-            let m = p.run_cd_with(CdSelector::AtLevel(2), &mut sink);
+            let m = p.run_policy_with(
+                PolicySpec::Cd {
+                    selector: CdSelector::AtLevel(2),
+                },
+                &mut sink,
+            );
             let plain = {
                 let mut cd =
                     CdPolicy::new(CdSelector::AtLevel(2)).with_min_alloc(p.config().min_alloc);

@@ -9,8 +9,7 @@ use cdmm_locality::{
     analyze_program_with_mode, instrument, Analysis, InsertOptions, PageGeometry, SizerMode,
 };
 use cdmm_trace::{
-    trace_program_compressed, trace_program_compressed_cancellable, CancelToken, CompressedTrace,
-    InterpError, Trace,
+    trace_program_compressed_cancellable, CancelToken, CompressedTrace, InterpError, Trace,
 };
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::clock::Clock;
@@ -21,10 +20,7 @@ use cdmm_vmsim::policy::pff::Pff;
 use cdmm_vmsim::policy::ws::WorkingSet;
 use cdmm_vmsim::policy::ws_variants::{DampedWs, SampledWs, VariableSampledWs};
 use cdmm_vmsim::policy::Policy;
-use cdmm_vmsim::{
-    simulate_run_level, simulate_run_level_cancellable, simulate_with, simulate_with_cancellable,
-    Metrics, SimConfig, SimError, Tracer,
-};
+use cdmm_vmsim::{Metrics, NullTracer, SimConfig, SimError, Tracer};
 use cdmm_workloads::DirectiveLevel;
 
 /// Pipeline-wide knobs.
@@ -125,9 +121,9 @@ pub struct Prepared {
     /// Trace of the instrumented program (directive events embedded).
     cd_trace: CompressedTrace,
     /// Flat decompressions of the two traces, decoded on first use and
-    /// shared across clones — random-access consumers (the
-    /// multiprogramming driver, chaos tenants) stop paying a fresh
-    /// O(references) decode per call.
+    /// shared across clones — random-access consumers (chaos tenants,
+    /// the directive fuzzer) stop paying a fresh O(references) decode
+    /// per call.
     plain_flat: Arc<OnceLock<Trace>>,
     cd_flat: Arc<OnceLock<Trace>>,
     config: PipelineConfig,
@@ -144,27 +140,7 @@ pub fn prepare(
     source: &str,
     config: PipelineConfig,
 ) -> Result<Prepared, PipelineError> {
-    let analysis = analyze_program_with_mode(source, config.geometry, config.sizer_mode)
-        .map_err(PipelineError::Lang)?;
-    let instrumented = instrument(&analysis, config.insert);
-    let instrumented_src = cdmm_lang::to_source(&instrumented);
-    let plain_trace =
-        trace_program_compressed(source, config.geometry).map_err(PipelineError::Interp)?;
-    let cd_trace = trace_program_compressed(&instrumented_src, config.geometry)
-        .map_err(PipelineError::Interp)?;
-    check_alignment(&plain_trace, &cd_trace).map_err(PipelineError::Validate)?;
-    let fingerprint = content_fingerprint(source, &plain_trace, &cd_trace, &config);
-    Ok(Prepared {
-        name: name.to_string(),
-        analysis,
-        instrumented_source: instrumented_src,
-        plain_trace,
-        cd_trace,
-        plain_flat: Arc::new(OnceLock::new()),
-        cd_flat: Arc::new(OnceLock::new()),
-        config,
-        fingerprint,
-    })
+    prepare_cancellable(name, source, config, &CancelToken::new())
 }
 
 /// [`prepare`] under a cooperative [`CancelToken`].
@@ -338,27 +314,6 @@ impl PolicySpec {
     }
 }
 
-/// Migration path off the deprecated multiprogramming
-/// [`ProcPolicy`](cdmm_vmsim::multiprog::ProcPolicy): each legacy
-/// per-process policy maps onto the spec the fleet expects.
-///
-/// `ProcPolicy::Cd`'s `min_alloc` field has no spec-side counterpart —
-/// minimum allocation lives in [`PipelineConfig::min_alloc`], where it
-/// applies uniformly to every CD tenant of a prepared program.
-#[allow(deprecated)]
-impl From<cdmm_vmsim::multiprog::ProcPolicy> for PolicySpec {
-    fn from(p: cdmm_vmsim::multiprog::ProcPolicy) -> Self {
-        use cdmm_vmsim::multiprog::ProcPolicy;
-        match p {
-            ProcPolicy::Cd { .. } => PolicySpec::Cd {
-                selector: CdSelector::FirstFit,
-            },
-            ProcPolicy::Ws { tau } => PolicySpec::Ws { tau },
-            ProcPolicy::Lru { frames } => PolicySpec::Lru { frames },
-        }
-    }
-}
-
 /// Maps a workload's neutral directive level onto the CD selector.
 pub fn selector_for(level: DirectiveLevel) -> CdSelector {
     match level {
@@ -380,8 +335,8 @@ impl Prepared {
     }
 
     /// The uninstrumented trace (page references only), compressed.
-    /// Decompress with [`CompressedTrace::to_trace`] at consumers that
-    /// need random access (e.g. the multiprogramming driver).
+    /// [`Prepared::plain_trace_flat`] serves consumers that need random
+    /// access.
     pub fn plain_trace(&self) -> &CompressedTrace {
         &self.plain_trace
     }
@@ -432,56 +387,6 @@ impl Prepared {
         &self.instrumented_source
     }
 
-    /// Runs the CD policy with the given request selector.
-    ///
-    /// Executes at run granularity ([`simulate_run_level`]): the
-    /// compressed trace's constant-stride runs hit CD's batch kernels,
-    /// with byte-identical [`Metrics`] to the per-reference driver.
-    pub fn run_cd(&self, selector: CdSelector) -> Metrics {
-        let mut cd = CdPolicy::new(selector).with_min_alloc(self.config.min_alloc);
-        simulate_run_level(&self.cd_trace, &mut cd, self.sim_config())
-    }
-
-    /// [`Prepared::run_cd`] with an event tracer attached.
-    pub fn run_cd_with(&self, selector: CdSelector, tracer: &mut dyn Tracer) -> Metrics {
-        let mut cd = CdPolicy::new(selector).with_min_alloc(self.config.min_alloc);
-        simulate_with(&self.cd_trace, &mut cd, self.sim_config(), tracer)
-    }
-
-    /// Runs the CD policy without honoring LOCK/UNLOCK (ablation).
-    pub fn run_cd_no_locks(&self, selector: CdSelector) -> Metrics {
-        let mut cd = CdPolicy::new(selector)
-            .with_min_alloc(self.config.min_alloc)
-            .with_locks(false);
-        simulate_run_level(&self.cd_trace, &mut cd, self.sim_config())
-    }
-
-    /// Runs fixed-allocation LRU with `frames` pages, at run
-    /// granularity ([`simulate_run_level`]).
-    pub fn run_lru(&self, frames: usize) -> Metrics {
-        let mut lru = Lru::new(frames.max(1));
-        simulate_run_level(&self.plain_trace, &mut lru, self.sim_config())
-    }
-
-    /// [`Prepared::run_lru`] with an event tracer attached.
-    pub fn run_lru_with(&self, frames: usize, tracer: &mut dyn Tracer) -> Metrics {
-        let mut lru = Lru::new(frames.max(1));
-        simulate_with(&self.plain_trace, &mut lru, self.sim_config(), tracer)
-    }
-
-    /// Runs the Working Set policy with window `tau`, at run
-    /// granularity ([`simulate_run_level`]).
-    pub fn run_ws(&self, tau: u64) -> Metrics {
-        let mut ws = WorkingSet::new(tau.max(1));
-        simulate_run_level(&self.plain_trace, &mut ws, self.sim_config())
-    }
-
-    /// [`Prepared::run_ws`] with an event tracer attached.
-    pub fn run_ws_with(&self, tau: u64, tracer: &mut dyn Tracer) -> Metrics {
-        let mut ws = WorkingSet::new(tau.max(1));
-        simulate_with(&self.plain_trace, &mut ws, self.sim_config(), tracer)
-    }
-
     /// Builds the policy a [`PolicySpec`] describes, parameterized by
     /// this program's config (CD min-alloc) and traces (OPT lookahead).
     ///
@@ -490,14 +395,10 @@ impl Prepared {
     /// structure, so this costs nothing.
     pub fn build_policy(&self, spec: PolicySpec) -> Box<dyn Policy + Send> {
         match spec {
-            PolicySpec::Cd { selector } => {
-                Box::new(CdPolicy::new(selector).with_min_alloc(self.config.min_alloc))
+            PolicySpec::Cd { selector } => Box::new(self.cd_policy(selector)),
+            PolicySpec::CdNoLocks { selector } => {
+                Box::new(self.cd_policy(selector).with_locks(false))
             }
-            PolicySpec::CdNoLocks { selector } => Box::new(
-                CdPolicy::new(selector)
-                    .with_min_alloc(self.config.min_alloc)
-                    .with_locks(false),
-            ),
             PolicySpec::Lru { frames } => Box::new(Lru::new(frames.max(1))),
             PolicySpec::Ws { tau } => Box::new(WorkingSet::new(tau.max(1))),
             PolicySpec::Fifo { frames } => Box::new(Fifo::new(frames.max(1))),
@@ -529,81 +430,81 @@ impl Prepared {
         self.build_policy(spec).label()
     }
 
+    fn cd_policy(&self, selector: CdSelector) -> CdPolicy {
+        CdPolicy::new(selector).with_min_alloc(self.config.min_alloc)
+    }
+
     /// Runs any [`PolicySpec`] over the trace it belongs on (CD variants
     /// see the instrumented trace; everything else the plain one).
+    ///
+    /// Executes at run granularity: the compressed trace's
+    /// constant-stride runs hit the policies' batch kernels, with
+    /// byte-identical [`Metrics`] to the per-reference
+    /// [`cdmm_vmsim::simulate`] oracle.
     pub fn run_policy(&self, spec: PolicySpec) -> Metrics {
-        // The three policies the paper's tables sweep run monomorphized
-        // (the policy inlines into the trace-decode loop); the long
-        // tail of ablation policies takes the boxed fallback.
-        match spec {
-            PolicySpec::Cd { selector } => self.run_cd(selector),
-            PolicySpec::Lru { frames } => self.run_lru(frames),
-            PolicySpec::Ws { tau } => self.run_ws(tau),
-            _ => {
-                // Run-level dispatch helps here too: one virtual
-                // `reference_run` call per compressed run instead of
-                // three virtual calls per reference, with the default
-                // per-ref decode inside.
-                let mut policy = self.build_policy(spec);
-                simulate_run_level(self.trace_for(spec), policy.as_mut(), self.sim_config())
-            }
+        self.run_policy_with(spec, &mut NullTracer)
+    }
+
+    /// [`Prepared::run_policy`] with an event tracer attached. A
+    /// disabled tracer keeps the run-level kernels; an enabled one
+    /// takes the per-event traced loop (see [`cdmm_vmsim::run`]).
+    pub fn run_policy_with(&self, spec: PolicySpec, tracer: &mut dyn Tracer) -> Metrics {
+        match self.run_request(spec, tracer, None) {
+            Ok(metrics) => metrics,
+            Err(e) => unreachable!("a run without a token cannot stop: {e}"),
         }
     }
 
-    /// [`Prepared::run_policy`] under a cooperative
-    /// [`cdmm_vmsim::CancelToken`].
+    /// [`Prepared::run_policy_with`] under a cooperative
+    /// [`cdmm_vmsim::CancelToken`] — the entry point the serve layer
+    /// uses to bound jobs, traced or not, with per-request deadlines.
     ///
-    /// The token is polled once per compressed trace run — never inside
-    /// the per-reference loop — so an uncancelled run computes exactly
-    /// the [`Metrics`] of [`Prepared::run_policy`]. A stop (deadline
+    /// The token is polled once per compressed trace run (once per
+    /// event on the traced path) — never inside the per-reference loop
+    /// — so an uncancelled run computes exactly the [`Metrics`] and
+    /// event stream of [`Prepared::run_policy_with`]. A stop (deadline
     /// expiry or explicit cancel) surfaces as
     /// [`SimError::DeadlineExceeded`] with the number of references
-    /// processed. This is the entry point the serve layer uses to bound
-    /// jobs with per-request deadlines.
+    /// processed.
     pub fn run_policy_cancellable(
-        &self,
-        spec: PolicySpec,
-        token: &cdmm_vmsim::CancelToken,
-    ) -> Result<Metrics, SimError> {
-        let mut policy = self.build_policy(spec);
-        simulate_run_level_cancellable(
-            self.trace_for(spec),
-            policy.as_mut(),
-            self.sim_config(),
-            token,
-        )
-    }
-
-    /// [`Prepared::run_policy`] with an event tracer attached.
-    pub fn run_policy_with(&self, spec: PolicySpec, tracer: &mut dyn Tracer) -> Metrics {
-        let mut policy = self.build_policy(spec);
-        simulate_with(
-            self.trace_for(spec),
-            policy.as_mut(),
-            self.sim_config(),
-            tracer,
-        )
-    }
-
-    /// [`Prepared::run_policy_with`] under a cooperative
-    /// [`cdmm_vmsim::CancelToken`]: the serve layer's `"trace":true`
-    /// passthrough, where a job wants its event stream *and* its
-    /// deadline honored. Metrics are identical to the untraced
-    /// cancellable run.
-    pub fn run_policy_traced(
         &self,
         spec: PolicySpec,
         tracer: &mut dyn Tracer,
         token: &cdmm_vmsim::CancelToken,
     ) -> Result<Metrics, SimError> {
-        let mut policy = self.build_policy(spec);
-        simulate_with_cancellable(
-            self.trace_for(spec),
-            policy.as_mut(),
-            self.sim_config(),
-            tracer,
-            token,
-        )
+        self.run_request(spec, tracer, Some(token))
+    }
+
+    fn run_request(
+        &self,
+        spec: PolicySpec,
+        tracer: &mut dyn Tracer,
+        token: Option<&cdmm_vmsim::CancelToken>,
+    ) -> Result<Metrics, SimError> {
+        let trace = self.trace_for(spec);
+        let config = self.sim_config();
+        // The three policies the paper's tables sweep run monomorphized
+        // (the policy inlines into the trace-decode loop); the long
+        // tail of ablation policies takes the boxed fallback, where
+        // run-level dispatch still makes one virtual `reference_run`
+        // call per compressed run instead of three per reference.
+        match spec {
+            PolicySpec::Cd { selector } => {
+                cdmm_vmsim::run(trace, &mut self.cd_policy(selector), config, tracer, token)
+            }
+            PolicySpec::Lru { frames } => {
+                let mut lru = Lru::new(frames.max(1));
+                cdmm_vmsim::run(trace, &mut lru, config, tracer, token)
+            }
+            PolicySpec::Ws { tau } => {
+                let mut ws = WorkingSet::new(tau.max(1));
+                cdmm_vmsim::run(trace, &mut ws, config, tracer, token)
+            }
+            _ => {
+                let mut policy = self.build_policy(spec);
+                cdmm_vmsim::run(trace, policy.as_mut(), config, tracer, token)
+            }
+        }
     }
 
     fn trace_for(&self, spec: PolicySpec) -> &CompressedTrace {
@@ -640,8 +541,12 @@ mod tests {
     #[test]
     fn cd_outermost_uses_more_memory_fewer_faults_than_innermost() {
         let p = prepared("MAIN");
-        let outer = p.run_cd(CdSelector::Outermost);
-        let inner = p.run_cd(CdSelector::Innermost);
+        let outer = p.run_policy(PolicySpec::Cd {
+            selector: CdSelector::Outermost,
+        });
+        let inner = p.run_policy(PolicySpec::Cd {
+            selector: CdSelector::Innermost,
+        });
         assert!(
             outer.mean_mem() > inner.mean_mem(),
             "outer {} vs inner {}",
@@ -657,7 +562,9 @@ mod tests {
     #[test]
     fn full_memory_lru_is_cold_faults_only() {
         let p = prepared("FIELD");
-        let m = p.run_lru(p.virtual_pages() as usize);
+        let m = p.run_policy(PolicySpec::Lru {
+            frames: p.virtual_pages() as usize,
+        });
         assert_eq!(m.faults as u32, p.plain_trace().distinct_pages());
     }
 
@@ -711,61 +618,68 @@ mod tests {
             .contains("validate"));
     }
 
+    const SPECS: [PolicySpec; 5] = [
+        PolicySpec::Cd {
+            selector: CdSelector::Innermost,
+        },
+        PolicySpec::CdNoLocks {
+            selector: CdSelector::Outermost,
+        },
+        PolicySpec::Lru { frames: 8 },
+        PolicySpec::Ws { tau: 500 },
+        PolicySpec::Fifo { frames: 8 },
+    ];
+
     #[test]
-    fn policy_spec_matches_direct_runs() {
+    fn policy_specs_match_the_oracle() {
         let p = prepared("MAIN");
-        assert_eq!(
-            p.run_policy(PolicySpec::Cd {
-                selector: CdSelector::Outermost
-            }),
-            p.run_cd(CdSelector::Outermost)
-        );
-        assert_eq!(p.run_policy(PolicySpec::Lru { frames: 8 }), p.run_lru(8));
-        assert_eq!(p.run_policy(PolicySpec::Ws { tau: 500 }), p.run_ws(500));
-        assert!(p
-            .policy_label(PolicySpec::Cd {
-                selector: CdSelector::Outermost
-            })
-            .starts_with("CD"));
+        for spec in SPECS {
+            let flat = if spec.uses_directives() {
+                p.cd_trace_flat()
+            } else {
+                p.plain_trace_flat()
+            };
+            let oracle = cdmm_vmsim::simulate(flat, p.build_policy(spec).as_mut(), p.sim_config());
+            assert_eq!(p.run_policy(spec), oracle, "{spec:?}");
+        }
+        assert!(p.policy_label(SPECS[0]).starts_with("CD"));
     }
 
     #[test]
     fn traced_pipeline_runs_match_untraced() {
         use cdmm_vmsim::EventLog;
         let p = prepared("FDJAC");
-        let mut log = EventLog::new(1 << 14);
-        let traced = p.run_policy_with(
-            PolicySpec::Cd {
-                selector: CdSelector::Innermost,
-            },
-            &mut log,
-        );
-        assert_eq!(traced, p.run_cd(CdSelector::Innermost));
-        assert!(!log.is_empty(), "CD run must produce events");
-        let mut log = EventLog::new(1 << 14);
-        assert_eq!(p.run_lru_with(8, &mut log), p.run_lru(8));
-        let mut log = EventLog::new(1 << 14);
-        assert_eq!(p.run_ws_with(500, &mut log), p.run_ws(500));
+        for spec in SPECS {
+            let mut log = EventLog::new(1 << 14);
+            assert_eq!(p.run_policy_with(spec, &mut log), p.run_policy(spec));
+            assert!(!log.is_empty(), "{spec:?} must produce events");
+        }
     }
 
     #[test]
     fn cancellable_pipeline_runs_match_and_stop() {
-        use cdmm_vmsim::CancelToken;
+        use cdmm_vmsim::{CancelToken, EventLog};
         let p = prepared("MAIN");
-        let spec = PolicySpec::Cd {
-            selector: CdSelector::Innermost,
-        };
         let token = CancelToken::new();
-        assert_eq!(
-            p.run_policy_cancellable(spec, &token),
-            Ok(p.run_policy(spec)),
-            "an idle token must not perturb the run"
-        );
-        token.cancel();
-        assert_eq!(
-            p.run_policy_cancellable(spec, &token),
-            Err(SimError::DeadlineExceeded { refs_done: 0 })
-        );
+        let fired = CancelToken::new();
+        fired.cancel();
+        for spec in SPECS {
+            assert_eq!(
+                p.run_policy_cancellable(spec, &mut NullTracer, &token),
+                Ok(p.run_policy(spec)),
+                "{spec:?}: an idle token must not perturb the run"
+            );
+            let mut log = EventLog::new(1 << 14);
+            assert_eq!(
+                p.run_policy_cancellable(spec, &mut log, &token),
+                Ok(p.run_policy(spec)),
+                "{spec:?}: nor a traced one"
+            );
+            assert_eq!(
+                p.run_policy_cancellable(spec, &mut NullTracer, &fired),
+                Err(SimError::DeadlineExceeded { refs_done: 0 })
+            );
+        }
     }
 
     #[test]

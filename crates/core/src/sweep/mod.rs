@@ -250,12 +250,16 @@ pub fn cached_lru(cache: &ResultCache, p: &Prepared, frames: usize) -> Metrics {
     let policy = PolicyId::Lru {
         frames: frames as u64,
     };
-    memoized(cache, p, policy, || p.run_lru(frames))
+    memoized(cache, p, policy, || {
+        p.run_policy(PolicySpec::Lru { frames })
+    })
 }
 
 /// WS at one window, through the cache.
 pub fn cached_ws(cache: &ResultCache, p: &Prepared, tau: u64) -> Metrics {
-    memoized(cache, p, PolicyId::Ws { tau }, || p.run_ws(tau))
+    memoized(cache, p, PolicyId::Ws { tau }, || {
+        p.run_policy(PolicySpec::Ws { tau })
+    })
 }
 
 /// CD under one selector, through the cache.
@@ -264,7 +268,9 @@ pub fn cached_cd(cache: &ResultCache, p: &Prepared, selector: CdSelector) -> Met
         selector,
         locks: true,
     };
-    memoized(cache, p, policy, || p.run_cd(selector))
+    memoized(cache, p, policy, || {
+        p.run_policy(PolicySpec::Cd { selector })
+    })
 }
 
 /// Simulates LRU at every allocation in `frames` and returns the points.
@@ -573,12 +579,14 @@ mod tests {
     #[test]
     fn lru_match_pf_meets_budget() {
         let p = prepared("INIT");
-        let budget = p.run_lru(4).faults; // a feasible budget
+        let budget = p.run_policy(PolicySpec::Lru { frames: 4 }).faults; // a feasible budget
         let point = lru_match_pf(&p, budget);
         assert!(point.metrics.faults <= budget);
         // And one frame fewer would miss it.
         if point.param > 1 {
-            let tighter = p.run_lru(point.param as usize - 1);
+            let tighter = p.run_policy(PolicySpec::Lru {
+                frames: point.param as usize - 1,
+            });
             assert!(tighter.faults > budget, "minimality of the allocation");
         }
     }
@@ -590,7 +598,9 @@ mod tests {
         let point = ws_match_pf(&p, budget);
         assert!(point.metrics.faults <= budget);
         if point.param > 1 {
-            let tighter = p.run_ws(point.param - 1);
+            let tighter = p.run_policy(PolicySpec::Ws {
+                tau: point.param - 1,
+            });
             assert!(tighter.faults > budget, "minimality of the window");
         }
     }
@@ -663,7 +673,11 @@ mod tests {
         let first = cached_lru(&cache, &p, 6);
         let second = cached_lru(&cache, &p, 6);
         assert_eq!(first, second);
-        assert_eq!(first, p.run_lru(6), "cached result == direct simulation");
+        assert_eq!(
+            first,
+            p.run_policy(PolicySpec::Lru { frames: 6 }),
+            "cached result == direct simulation"
+        );
         let s = cache.stats();
         assert_eq!((s.cache_hits, s.cache_misses), (1, 1));
         assert_eq!(s.sim_points, 1, "only the miss was simulated");

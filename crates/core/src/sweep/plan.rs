@@ -22,9 +22,10 @@
 //! A [`SweepPlan`] wires the kernels into the sweep engine: curves are
 //! memoized whole in the [`ResultCache`] (one entry answers the entire
 //! sweep), each materialized point also lands in the per-point cache
-//! under its usual [`point_key`] so the batch service and table harness
-//! stay warm for each other, and the Table 3/4 binary searches become
-//! probes against the curve instead of fresh simulations.
+//! under its usual [`point_key`](super::point_key) so the batch service
+//! and table harness stay warm for each other, and the Table 3/4 binary
+//! searches become probes against the curve instead of fresh
+//! simulations.
 //!
 //! Setting `CDMM_SWEEP_KERNELS=0` disables the kernels; every sweep
 //! entry point then falls back to per-point simulation.
@@ -88,10 +89,7 @@ impl<'a> SweepPlan<'a> {
     /// deadline'd caller (the batch service's sweep jobs) stops within
     /// one op. A cancelled build is never memoized; `None` means the
     /// poll stopped the pass.
-    pub fn lru_curve_cancellable(
-        &self,
-        keep_going: impl FnMut() -> bool,
-    ) -> Option<Arc<LruCurve>> {
+    pub fn lru_curve_cancellable(&self, keep_going: impl FnMut() -> bool) -> Option<Arc<LruCurve>> {
         if let Some(c) = self.cache.lru_curve_cached(curve_key(self.p, 30)) {
             return Some(c);
         }
@@ -275,7 +273,7 @@ impl<'a> SweepPlan<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{prepare, PipelineConfig};
+    use crate::pipeline::{prepare, PipelineConfig, PolicySpec};
     use cdmm_workloads::{by_name, Scale};
 
     fn prepared(name: &str) -> Prepared {
@@ -292,7 +290,7 @@ mod tests {
         for m in [1usize, 2, 5, 16, p.virtual_pages() as usize] {
             assert_eq!(
                 plan.lru_point(&lru_curve, m).metrics,
-                p.run_lru(m),
+                p.run_policy(PolicySpec::Lru { frames: m }),
                 "LRU m={m}"
             );
         }
@@ -300,7 +298,7 @@ mod tests {
         for tau in [1u64, 7, 100, 5000] {
             assert_eq!(
                 plan.ws_point(&ws_curve, tau).metrics,
-                p.run_ws(tau),
+                p.run_policy(PolicySpec::Ws { tau }),
                 "WS tau={tau}"
             );
         }
@@ -350,7 +348,7 @@ mod tests {
         assert_eq!(kernel.param, sim.param);
         assert_eq!(kernel.metrics, sim.metrics);
 
-        let budget = p.run_lru(4).faults;
+        let budget = p.run_policy(PolicySpec::Lru { frames: 4 }).faults;
         let kernel = plan.lru_match_pf(budget);
         let sim = super::super::lru_match_pf_sim(&cache, &p, budget);
         assert_eq!((kernel.param, kernel.metrics), (sim.param, sim.metrics));

@@ -48,7 +48,5 @@ pub mod request;
 pub mod service;
 
 pub use faults::{FaultInjector, FaultSite};
-pub use request::{
-    parse_request, ErrorKind, JobRequest, SweepFamily, SweepRequest, WorkSource,
-};
+pub use request::{parse_request, ErrorKind, JobRequest, SweepFamily, SweepRequest, WorkSource};
 pub use service::{backoff_delay, BatchService, ServeConfig, ServeStats};

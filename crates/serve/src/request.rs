@@ -966,7 +966,15 @@ fn parse_work(fields: &BTreeMap<String, Scalar>) -> Result<WorkSource, String> {
 
 /// Parses the sweep job fields into a [`SweepRequest`].
 fn parse_sweep(id: String, fields: &BTreeMap<String, Scalar>) -> Result<SweepRequest, String> {
-    for sim_only in ["policy", "level", "frames", "tau", "threshold", "trace", "metrics"] {
+    for sim_only in [
+        "policy",
+        "level",
+        "frames",
+        "tau",
+        "threshold",
+        "trace",
+        "metrics",
+    ] {
         if fields.contains_key(sim_only) {
             return Err(format!("field \"{sim_only}\" does not apply to sweep jobs"));
         }

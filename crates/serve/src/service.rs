@@ -471,12 +471,12 @@ impl BatchService {
         };
         let t0 = Instant::now();
         let result = match (&mut sink, req.metrics) {
-            (None, false) => prepared.run_policy_cancellable(req.policy, token),
-            (None, true) => prepared.run_policy_traced(req.policy, &mut registry, token),
-            (Some(s), false) => prepared.run_policy_traced(req.policy, s, token),
+            (None, false) => prepared.run_policy_cancellable(req.policy, &mut NullTracer, token),
+            (None, true) => prepared.run_policy_cancellable(req.policy, &mut registry, token),
+            (Some(s), false) => prepared.run_policy_cancellable(req.policy, s, token),
             (Some(s), true) => {
                 let mut tee = Tee::new(s, &mut registry);
-                prepared.run_policy_traced(req.policy, &mut tee, token)
+                prepared.run_policy_cancellable(req.policy, &mut tee, token)
             }
         };
         match result {
@@ -622,7 +622,7 @@ impl BatchService {
                     continue;
                 }
                 let t0 = Instant::now();
-                match prepared.run_policy_cancellable(spec, token) {
+                match prepared.run_policy_cancellable(spec, &mut NullTracer, token) {
                     Ok(metrics) => {
                         self.cache.record_sim(t0.elapsed());
                         self.cache.insert(key, metrics);
@@ -1254,7 +1254,10 @@ mod tests {
             .handle_batch(&lines)
         };
         let serial = mk(1);
-        assert!(serial.iter().all(|l| l.contains("\"ok\":true")), "{serial:?}");
+        assert!(
+            serial.iter().all(|l| l.contains("\"ok\":true")),
+            "{serial:?}"
+        );
         assert_eq!(serial, mk(4), "sweep rows are byte-identical");
     }
 

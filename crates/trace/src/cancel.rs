@@ -2,9 +2,9 @@
 //! simulations.
 //!
 //! A [`CancelToken`] combines a shared cancellation flag with an
-//! optional wall-clock deadline. The cancellable simulate drivers
-//! (`cdmm_vmsim::simulate_cancellable` and its run-level sibling) poll
-//! the token once per compressed trace *run* — not per reference — so
+//! optional wall-clock deadline. The simulation driver
+//! (`cdmm_vmsim::run`, given a token) polls it once per compressed
+//! trace *run* — not per reference — so
 //! the simulate hot loop stays untouched: a run of a few thousand
 //! references pays one atomic load and (when a deadline is set) one
 //! monotonic clock read. The trace interpreter polls it once per

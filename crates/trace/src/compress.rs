@@ -69,7 +69,7 @@ impl CompressedTrace {
     }
 
     /// Decompresses back to the flat representation (for consumers that
-    /// need random access, e.g. the multiprogramming driver).
+    /// need random access, e.g. the directive fuzzer).
     pub fn to_trace(&self) -> Trace {
         let mut events = Vec::with_capacity(self.refs as usize + self.directive_count() as usize);
         self.for_each_event(|e| match e {

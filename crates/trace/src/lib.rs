@@ -89,7 +89,7 @@ pub fn trace_program_compressed(
     src: &str,
     geometry: PageGeometry,
 ) -> Result<CompressedTrace, InterpError> {
-    Ok(trace_program_compressed_with_state(src, geometry)?.0)
+    trace_program_compressed_cancellable(src, geometry, &CancelToken::new())
 }
 
 /// [`trace_program_compressed`] under a [`CancelToken`]: the
@@ -102,12 +102,9 @@ pub fn trace_program_compressed_cancellable(
     geometry: PageGeometry,
     token: &CancelToken,
 ) -> Result<CompressedTrace, InterpError> {
-    let mut program = cdmm_lang::parse(src).map_err(InterpError::Lang)?;
-    let symbols = cdmm_lang::analyze(&mut program).map_err(InterpError::Lang)?;
-    let layout = MemoryLayout::new(&symbols, geometry);
-    Interpreter::new(&program, &symbols, layout)
-        .with_cancel(token.clone())
-        .run_compressed()
+    interpret(src, geometry, |i| {
+        i.with_cancel(token.clone()).run_compressed()
+    })
 }
 
 /// Like [`trace_program_compressed`], but also returns the final
@@ -116,10 +113,7 @@ pub fn trace_program_compressed_with_state(
     src: &str,
     geometry: PageGeometry,
 ) -> Result<(CompressedTrace, ProgramState), InterpError> {
-    let mut program = cdmm_lang::parse(src).map_err(InterpError::Lang)?;
-    let symbols = cdmm_lang::analyze(&mut program).map_err(InterpError::Lang)?;
-    let layout = MemoryLayout::new(&symbols, geometry);
-    Interpreter::new(&program, &symbols, layout).run_compressed_with_state()
+    interpret(src, geometry, |i| i.run_compressed_with_state())
 }
 
 /// Like [`trace_program`], but also returns the final variable state so
@@ -128,8 +122,19 @@ pub fn trace_program_with_state(
     src: &str,
     geometry: PageGeometry,
 ) -> Result<(Trace, ProgramState), InterpError> {
+    let (trace, state) = trace_program_compressed_with_state(src, geometry)?;
+    Ok((trace.to_trace(), state))
+}
+
+/// Parses, checks and lays out `src`, then hands the interpreter over
+/// it to `run`.
+fn interpret<T>(
+    src: &str,
+    geometry: PageGeometry,
+    run: impl FnOnce(Interpreter<'_>) -> Result<T, InterpError>,
+) -> Result<T, InterpError> {
     let mut program = cdmm_lang::parse(src).map_err(InterpError::Lang)?;
     let symbols = cdmm_lang::analyze(&mut program).map_err(InterpError::Lang)?;
     let layout = MemoryLayout::new(&symbols, geometry);
-    Interpreter::new(&program, &symbols, layout).run_with_state()
+    run(Interpreter::new(&program, &symbols, layout))
 }

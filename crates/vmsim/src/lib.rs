@@ -12,16 +12,20 @@
 //!
 //! - [`Policy`] — the interface every policy implements: one call per page
 //!   reference, plus directive callbacks that only the CD policy acts on.
-//! - [`simulate`] — drives a policy over a [`cdmm_trace::Trace`] and
-//!   accumulates [`Metrics`] (page faults `PF`, mean resident memory
-//!   `MEM`, and space-time cost `ST` with a 2000-reference fault service,
-//!   as in the paper).
+//! - [`run`] — the simulation driver: drives a policy over any
+//!   [`cdmm_trace::EventSource`] and accumulates [`Metrics`] (page
+//!   faults `PF`, mean resident memory `MEM`, and space-time cost `ST`
+//!   with a 2000-reference fault service, as in the paper), with an
+//!   optional [`Tracer`] and [`CancelToken`]. A disabled tracer takes
+//!   the run-level batch kernels; an enabled one the per-event traced
+//!   loop.
+//! - [`simulate`] — the per-reference oracle [`run`] is pinned to.
 //! - [`policy::cd::CdPolicy`] — the Compiler-Directed policy (Section 4).
-//! - [`multiprog`] — a multiprogrammed memory with CD's PI-driven
-//!   allocation and swapper.
+//! - [`fleet`] — multiprogrammed memory: sharded cells of tenants under
+//!   CD's PI-driven allocation and swapper.
 //! - [`observe`] — zero-cost-when-disabled event tracing: policies emit
 //!   typed [`SimEvent`]s (grants, hold-overs, evictions, lock breaks,
-//!   degradations) that [`simulate_with`] forwards to a [`Tracer`].
+//!   degradations) that [`run`] forwards to a [`Tracer`].
 //! - [`stats`] — a [`MetricsRegistry`] tracer that folds the event
 //!   stream into counters and streaming histograms (fault
 //!   inter-arrival, per-PI grant levels, lock dwell, occupancy).
@@ -48,7 +52,6 @@ pub mod curve;
 pub mod error;
 pub mod fleet;
 pub mod metrics;
-pub mod multiprog;
 pub mod observe;
 pub mod policy;
 pub mod progress;
@@ -73,10 +76,7 @@ pub use policy::Policy;
 pub use progress::{
     validate_progress_file, ProgressCounters, ProgressExporter, ProgressFrame, PROGRESS_SCHEMA,
 };
-pub use sim::{
-    simulate, simulate_cancellable, simulate_run_level, simulate_run_level_cancellable,
-    simulate_with, simulate_with_cancellable, SimConfig,
-};
+pub use sim::{run, simulate, SimConfig};
 pub use stats::{
     shared_registry, snapshot_shared, HistogramSummary, MetricsRegistry, PiStats, PiSummary,
     RegistrySnapshot, SharedRegistry,

@@ -6,7 +6,7 @@
 //! (Sections 3–4, Figure 6) — yet aggregate [`crate::Metrics`] cannot
 //! show any of them. This module adds a typed event stream next to the
 //! metrics: policies buffer [`SimEvent`]s at each decision point and the
-//! driver ([`crate::sim::simulate_with`]) forwards them, timestamped
+//! driver ([`crate::sim::run`]) forwards them, timestamped
 //! with the reference clock, to a [`Tracer`].
 //!
 //! Tracing is zero-cost when disabled: the default [`NullTracer`]
@@ -964,8 +964,8 @@ pub fn shared<T: Tracer + Send + 'static>(tracer: T) -> SharedTracer {
 }
 
 /// A [`Tracer`] that forwards every event into a [`SharedTracer`],
-/// letting single-threaded drivers (`simulate_with`, the
-/// multiprogramming loop) feed the same sink as the parallel plumbing.
+/// letting single-threaded drivers ([`crate::run`]) feed the same sink
+/// as the parallel plumbing.
 ///
 /// The `enabled`/`wants_refs` flags are snapshotted at construction so
 /// the hot path takes the mutex only when an event actually fires.

@@ -1,4 +1,6 @@
-//! The uniprogramming simulation driver.
+//! The uniprogramming simulation drivers: [`simulate`], the
+//! per-reference oracle, and [`run`], the one driver every production
+//! path goes through.
 
 use cdmm_trace::{EventRef, EventSource, RunRef};
 
@@ -23,7 +25,12 @@ impl Default for SimConfig {
     }
 }
 
-/// Drives `policy` over `trace` and returns the accumulated metrics.
+/// Drives `policy` over `trace` one reference at a time and returns the
+/// accumulated metrics.
+///
+/// This is the reference oracle: the simplest possible loop, with no
+/// tracing, no cancellation and no run-level batching. The equivalence
+/// harnesses pin [`run`] to it byte for byte.
 ///
 /// Directive events are forwarded to the policy before the next
 /// reference; policies that ignore directives see exactly the page
@@ -31,7 +38,7 @@ impl Default for SimConfig {
 /// [`cdmm_trace::Trace`] or a [`cdmm_trace::CompressedTrace`], which
 /// streams without ever materializing the event vector.
 ///
-/// The driver is generic over the policy too: pass a concrete policy
+/// Both drivers are generic over the policy: pass a concrete policy
 /// type and the whole loop monomorphizes (the policy's `reference`
 /// inlines into the trace decode); pass `&mut dyn Policy` where one
 /// loop must drive interchangeable policies.
@@ -52,35 +59,6 @@ pub fn simulate<S: EventSource + ?Sized, P: Policy + ?Sized>(
     policy: &mut P,
     config: SimConfig,
 ) -> Metrics {
-    run_untraced(trace, policy, config)
-}
-
-/// [`simulate`] with an event [`Tracer`] attached.
-///
-/// While the tracer is enabled, the policy buffers [`SimEvent`]s at its
-/// decision points and the driver forwards them after each trace event,
-/// stamped with the reference clock (references processed so far): the
-/// policy's own events first (evictions, grants, lock breaks …), then
-/// the driver's [`SimEvent::Fault`], then — only when the tracer opts
-/// in via [`Tracer::wants_refs`] — one [`SimEvent::Ref`].
-///
-/// With a disabled tracer ([`crate::observe::NullTracer`]) this is
-/// exactly [`simulate`] — both run the same untraced loop, which
-/// carries no tracing code at all. Metrics are identical either way:
-/// tracing observes the run, it never alters it.
-pub fn simulate_with<S: EventSource + ?Sized, P: Policy + ?Sized>(
-    trace: &S,
-    policy: &mut P,
-    config: SimConfig,
-    tracer: &mut dyn Tracer,
-) -> Metrics {
-    if !tracer.enabled() {
-        return run_untraced(trace, policy, config);
-    }
-
-    let want_refs = tracer.wants_refs();
-    policy.set_tracing(true);
-    let mut pending: Vec<SimEvent> = Vec::new();
     let mut metrics = Metrics::new(config.fault_service);
     trace.for_each_event(|event| match event {
         EventRef::Ref(page) => {
@@ -89,66 +67,93 @@ pub fn simulate_with<S: EventSource + ?Sized, P: Policy + ?Sized>(
             if policy.is_degraded() {
                 metrics.degraded_refs += 1;
             }
-            let at = metrics.refs;
-            policy.drain_events(&mut pending);
-            for e in pending.drain(..) {
-                tracer.record(at, &e);
-            }
-            let resident = policy.resident() as u32;
-            if fault {
-                tracer.record(at, &SimEvent::Fault { page, resident });
-            }
-            if want_refs {
-                tracer.record(
-                    at,
-                    &SimEvent::Ref {
-                        page,
-                        resident,
-                        fault,
-                    },
-                );
-            }
         }
-        EventRef::Directive(other) => {
-            policy.directive(other);
-            let at = metrics.refs;
-            policy.drain_events(&mut pending);
-            for e in pending.drain(..) {
-                tracer.record(at, &e);
-            }
-        }
+        EventRef::Directive(other) => policy.directive(other),
     });
     metrics.recovered_directives = policy.recovered_directives();
-    policy.set_tracing(false);
-    tracer.flush();
     metrics
 }
 
-/// [`simulate_with`] under a cooperative [`CancelToken`]: the traced
-/// per-event loop with the token polled once per trace event. An
-/// uncancelled run produces exactly the [`Metrics`] and event stream of
-/// [`simulate_with`]; a stop discards the partial metrics, flushes the
-/// tracer, and surfaces [`SimError::DeadlineExceeded`] with the
-/// references completed. This is the entry point the serve layer's
-/// `"trace":true` passthrough uses to keep deadlines honest on traced
-/// jobs.
-pub fn simulate_with_cancellable<S: EventSource + ?Sized, P: Policy + ?Sized>(
+/// The simulation driver: [`simulate`] with an event [`Tracer`] and an
+/// optional cooperative [`CancelToken`].
+///
+/// The tracer's appetite picks the engine:
+///
+/// - **Disabled** ([`crate::observe::NullTracer`]): the run-level loop.
+///   A [`cdmm_trace::CompressedTrace`] delivers each stored run as one
+///   [`RunRef::Run`] (or [`RunRef::Cycle`]), which the policy batches in
+///   closed form through [`Policy::reference_run`]. Any other
+///   [`EventSource`] degenerates to length-1 runs.
+/// - **Enabled**: the per-event traced loop. The policy buffers
+///   [`SimEvent`]s at its decision points and the driver forwards them
+///   after each trace event, stamped with the reference clock
+///   (references processed so far): the policy's own events first
+///   (evictions, grants, lock breaks …), then the driver's
+///   [`SimEvent::Fault`], then — only when the tracer opts in via
+///   [`Tracer::wants_refs`] — one [`SimEvent::Ref`].
+///
+/// Either way the [`Metrics`] equal [`simulate`]'s: tracing observes
+/// the run, it never alters it.
+///
+/// With a token, the driver polls it once per compressed run (per
+/// event for flat traces), never inside the per-reference loop, so an
+/// uncancelled run computes exactly what an untokened one does. A stop
+/// — deadline expiry or [`CancelToken::cancel`] — discards the partial
+/// metrics, flushes an enabled tracer, and surfaces
+/// [`SimError::DeadlineExceeded`] with the references completed.
+/// Without a token the run cannot fail.
+///
+/// # Examples
+///
+/// ```
+/// use cdmm_trace::{synth, CompressedTrace};
+/// use cdmm_vmsim::policy::lru::Lru;
+/// use cdmm_vmsim::{run, simulate, CancelToken, NullTracer, SimConfig, SimError};
+///
+/// let t = synth::cyclic(4, 100);
+/// let c = CompressedTrace::from_trace(&t);
+/// let cfg = SimConfig::default();
+/// let oracle = simulate(&t, &mut Lru::new(4), cfg);
+/// let run_level = run(&c, &mut Lru::new(4), cfg, &mut NullTracer, None);
+/// assert_eq!(run_level, Ok(oracle));
+///
+/// let token = CancelToken::new();
+/// token.cancel();
+/// let stopped = run(&c, &mut Lru::new(4), cfg, &mut NullTracer, Some(&token));
+/// assert_eq!(stopped, Err(SimError::DeadlineExceeded { refs_done: 0 }));
+/// ```
+pub fn run<S: EventSource + ?Sized, P: Policy + ?Sized>(
     trace: &S,
     policy: &mut P,
     config: SimConfig,
     tracer: &mut dyn Tracer,
-    token: &CancelToken,
+    token: Option<&CancelToken>,
 ) -> Result<Metrics, SimError> {
-    if !tracer.enabled() {
-        return simulate_run_level_cancellable(trace, policy, config, token);
+    // Two monomorphizations: an absent token costs no poll at all.
+    match token {
+        Some(token) => drive(trace, policy, config, tracer, || !token.should_stop()),
+        None => drive(trace, policy, config, tracer, || true),
     }
-    let want_refs = tracer.wants_refs();
-    policy.set_tracing(true);
-    let mut pending: Vec<SimEvent> = Vec::new();
+}
+
+fn drive<S, P, K>(
+    trace: &S,
+    policy: &mut P,
+    config: SimConfig,
+    tracer: &mut dyn Tracer,
+    keep_going: K,
+) -> Result<Metrics, SimError>
+where
+    S: EventSource + ?Sized,
+    P: Policy + ?Sized,
+    K: FnMut() -> bool,
+{
     let mut metrics = Metrics::new(config.fault_service);
-    let completed = trace.for_each_event_while(
-        || !token.should_stop(),
-        |event| match event {
+    let completed = if tracer.enabled() {
+        let want_refs = tracer.wants_refs();
+        policy.set_tracing(true);
+        let mut pending: Vec<SimEvent> = Vec::new();
+        let completed = trace.for_each_event_while(keep_going, |event| match event {
             EventRef::Ref(page) => {
                 let fault = policy.reference(page);
                 metrics.record(policy.resident(), fault);
@@ -165,14 +170,12 @@ pub fn simulate_with_cancellable<S: EventSource + ?Sized, P: Policy + ?Sized>(
                     tracer.record(at, &SimEvent::Fault { page, resident });
                 }
                 if want_refs {
-                    tracer.record(
-                        at,
-                        &SimEvent::Ref {
-                            page,
-                            resident,
-                            fault,
-                        },
-                    );
+                    let event = SimEvent::Ref {
+                        page,
+                        resident,
+                        fault,
+                    };
+                    tracer.record(at, &event);
                 }
             }
             EventRef::Directive(other) => {
@@ -183,173 +186,19 @@ pub fn simulate_with_cancellable<S: EventSource + ?Sized, P: Policy + ?Sized>(
                     tracer.record(at, &e);
                 }
             }
-        },
-    );
-    policy.set_tracing(false);
-    tracer.flush();
-    if !completed {
-        return Err(SimError::DeadlineExceeded {
-            refs_done: metrics.refs,
         });
-    }
-    metrics.recovered_directives = policy.recovered_directives();
-    Ok(metrics)
-}
-
-/// The hot path: no tracing code at all, so a disabled tracer costs one
-/// branch per run instead of per reference. `simulate` and a disabled
-/// `simulate_with` both land here; `traced_run_metrics_match_untraced`
-/// pins this loop and the instrumented one to the same results.
-fn run_untraced<S: EventSource + ?Sized, P: Policy + ?Sized>(
-    trace: &S,
-    policy: &mut P,
-    config: SimConfig,
-) -> Metrics {
-    let mut metrics = Metrics::new(config.fault_service);
-    trace.for_each_event(|event| match event {
-        EventRef::Ref(page) => {
-            let fault = policy.reference(page);
-            metrics.record(policy.resident(), fault);
-            if policy.is_degraded() {
-                metrics.degraded_refs += 1;
-            }
-        }
-        EventRef::Directive(other) => policy.directive(other),
-    });
-    metrics.recovered_directives = policy.recovered_directives();
-    metrics
-}
-
-/// [`simulate`] at run granularity: drives the policy one constant-stride
-/// *run* at a time instead of one reference at a time.
-///
-/// A [`cdmm_trace::CompressedTrace`] delivers each stored run as a single
-/// [`RunRef::Run`], which the driver hands to
-/// [`Policy::reference_run`] — the paper policies batch the whole run in
-/// closed form and only fall back to the per-reference decode in the
-/// hard cases (tracing, mixed residency, active locks). Any other
-/// [`EventSource`] degenerates to length-1 runs, making this exactly
-/// [`simulate`].
-///
-/// The contract — pinned by the `run_level_equivalence` differential
-/// harness — is byte-identical [`Metrics`] and final policy state
-/// against [`simulate`] on the same event stream.
-///
-/// # Examples
-///
-/// ```
-/// use cdmm_trace::{synth, CompressedTrace};
-/// use cdmm_vmsim::policy::lru::Lru;
-/// use cdmm_vmsim::{simulate, simulate_run_level, SimConfig};
-///
-/// let t = synth::cyclic(4, 100);
-/// let c = CompressedTrace::from_trace(&t);
-/// let per_ref = simulate(&t, &mut Lru::new(4), SimConfig::default());
-/// let run_level = simulate_run_level(&c, &mut Lru::new(4), SimConfig::default());
-/// assert_eq!(per_ref, run_level);
-/// ```
-pub fn simulate_run_level<S: EventSource + ?Sized, P: Policy + ?Sized>(
-    trace: &S,
-    policy: &mut P,
-    config: SimConfig,
-) -> Metrics {
-    let mut metrics = Metrics::new(config.fault_service);
-    trace.for_each_run(|run| match run {
-        RunRef::Run { start, stride, len } => {
-            policy.reference_run(start, stride, len, &mut metrics);
-        }
-        RunRef::Cycle { body, reps } => {
-            policy.reference_cycle(body, reps, &mut metrics);
-        }
-        RunRef::Directive(other) => policy.directive(other),
-    });
-    metrics.recovered_directives = policy.recovered_directives();
-    metrics
-}
-
-/// [`simulate_run_level`] under a cooperative [`CancelToken`].
-///
-/// Polls the token once per run (per event for flat traces) — the same
-/// cancellation granularity as [`simulate_cancellable`] on a compressed
-/// trace, since that too polls between compressed ops. On a stop the
-/// partial metrics are discarded and [`SimError::DeadlineExceeded`]
-/// reports the references completed.
-pub fn simulate_run_level_cancellable<S: EventSource + ?Sized, P: Policy + ?Sized>(
-    trace: &S,
-    policy: &mut P,
-    config: SimConfig,
-    token: &CancelToken,
-) -> Result<Metrics, SimError> {
-    let mut metrics = Metrics::new(config.fault_service);
-    let completed = trace.for_each_run_while(
-        || !token.should_stop(),
-        |run| match run {
+        policy.set_tracing(false);
+        tracer.flush();
+        completed
+    } else {
+        trace.for_each_run_while(keep_going, |run| match run {
             RunRef::Run { start, stride, len } => {
                 policy.reference_run(start, stride, len, &mut metrics);
             }
-            RunRef::Cycle { body, reps } => {
-                policy.reference_cycle(body, reps, &mut metrics);
-            }
+            RunRef::Cycle { body, reps } => policy.reference_cycle(body, reps, &mut metrics),
             RunRef::Directive(other) => policy.directive(other),
-        },
-    );
-    if !completed {
-        return Err(SimError::DeadlineExceeded {
-            refs_done: metrics.refs,
-        });
-    }
-    metrics.recovered_directives = policy.recovered_directives();
-    Ok(metrics)
-}
-
-/// [`simulate`] under a cooperative [`CancelToken`].
-///
-/// The loop body is exactly the untraced hot path; the token is polled
-/// between compressed trace *runs* (per event for flat traces), so a
-/// run that is never cancelled executes the same per-reference work as
-/// [`simulate`] and completes with identical [`Metrics`]. When the
-/// token stops the run — deadline expiry or an explicit
-/// [`CancelToken::cancel`] — the partial metrics are discarded and
-/// [`SimError::DeadlineExceeded`] reports how far the run got.
-///
-/// # Examples
-///
-/// ```
-/// use cdmm_trace::synth;
-/// use cdmm_vmsim::policy::lru::Lru;
-/// use cdmm_vmsim::{simulate, simulate_cancellable, CancelToken, SimConfig, SimError};
-///
-/// let trace = synth::cyclic(4, 100);
-/// let full = simulate(&trace, &mut Lru::new(4), SimConfig::default());
-/// let token = CancelToken::new();
-/// let same = simulate_cancellable(&trace, &mut Lru::new(4), SimConfig::default(), &token)
-///     .expect("an idle token never stops the run");
-/// assert_eq!(full, same);
-///
-/// token.cancel();
-/// let err = simulate_cancellable(&trace, &mut Lru::new(4), SimConfig::default(), &token);
-/// assert_eq!(err, Err(SimError::DeadlineExceeded { refs_done: 0 }));
-/// ```
-pub fn simulate_cancellable<S: EventSource + ?Sized, P: Policy + ?Sized>(
-    trace: &S,
-    policy: &mut P,
-    config: SimConfig,
-    token: &CancelToken,
-) -> Result<Metrics, SimError> {
-    let mut metrics = Metrics::new(config.fault_service);
-    let completed = trace.for_each_event_while(
-        || !token.should_stop(),
-        |event| match event {
-            EventRef::Ref(page) => {
-                let fault = policy.reference(page);
-                metrics.record(policy.resident(), fault);
-                if policy.is_degraded() {
-                    metrics.degraded_refs += 1;
-                }
-            }
-            EventRef::Directive(other) => policy.directive(other),
-        },
-    );
+        })
+    };
     if !completed {
         return Err(SimError::DeadlineExceeded {
             refs_done: metrics.refs,
@@ -362,10 +211,14 @@ pub fn simulate_cancellable<S: EventSource + ?Sized, P: Policy + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{EventLog, NullTracer};
     use crate::policy::cd::{CdPolicy, CdSelector};
+    use crate::policy::fifo::Fifo;
     use crate::policy::lru::Lru;
     use crate::policy::ws::WorkingSet;
-    use cdmm_trace::{synth, Trace};
+    use crate::stats::MetricsRegistry;
+    use cdmm_lang::ast::AllocArg;
+    use cdmm_trace::{synth, CompressedTrace, Event, PageId, PageRange, Trace};
 
     #[test]
     fn lru_metrics_on_cyclic_trace() {
@@ -390,70 +243,36 @@ mod tests {
         assert!((m.st_cost() - (3.0 + 100.0 * 3.0)).abs() < 1e-9);
     }
 
-    #[test]
-    fn directives_reach_the_policy() {
-        // A CD policy driven by a trace with an embedded ALLOCATE.
-        use cdmm_lang::ast::AllocArg;
-        use cdmm_trace::{Event, PageId};
-        let events = vec![
+    /// A single 1-page ALLOCATE followed by three references.
+    fn one_page_alloc() -> Trace {
+        Trace::from_events(vec![
             Event::Alloc(vec![AllocArg { pi: 1, pages: 1 }]),
             Event::Ref(PageId(0)),
             Event::Ref(PageId(1)),
             Event::Ref(PageId(0)),
-        ];
-        let t = Trace::from_events(events);
+        ])
+    }
+
+    #[test]
+    fn directives_reach_the_policy() {
         let mut cd = CdPolicy::new(CdSelector::Innermost).with_min_alloc(1);
-        let m = simulate(&t, &mut cd, SimConfig::default());
+        let m = simulate(&one_page_alloc(), &mut cd, SimConfig::default());
         assert_eq!(m.faults, 3, "1-page target: page 0 refaults");
     }
 
     #[test]
-    fn traced_run_metrics_match_untraced() {
-        use crate::observe::EventLog;
-        // Tracing must observe the run without altering it, for every
-        // policy family.
-        let t = synth::phased(
-            &[
-                synth::Phase {
-                    base: 0,
-                    pages: 6,
-                    refs: 400,
-                },
-                synth::Phase {
-                    base: 6,
-                    pages: 3,
-                    refs: 400,
-                },
-            ],
-            9,
-        );
-        let plain = simulate(&t, &mut Lru::new(4), SimConfig::default());
-        let mut log = EventLog::new(4096).with_refs(true);
-        let traced = simulate_with(&t, &mut Lru::new(4), SimConfig::default(), &mut log);
-        assert_eq!(plain, traced);
-        assert!(!log.is_empty());
-
-        let plain = simulate(&t, &mut WorkingSet::new(50), SimConfig::default());
-        let mut log = EventLog::new(4096);
-        let traced = simulate_with(&t, &mut WorkingSet::new(50), SimConfig::default(), &mut log);
-        assert_eq!(plain, traced);
-    }
-
-    #[test]
     fn tracer_sees_directive_and_fault_events() {
-        use crate::observe::{AllocDecision, EventLog, SimEvent};
-        use cdmm_lang::ast::AllocArg;
-        use cdmm_trace::{Event, PageId};
-        let events = vec![
-            Event::Alloc(vec![AllocArg { pi: 1, pages: 1 }]),
-            Event::Ref(PageId(0)),
-            Event::Ref(PageId(1)),
-            Event::Ref(PageId(0)),
-        ];
-        let t = Trace::from_events(events);
+        use crate::observe::AllocDecision;
         let mut cd = CdPolicy::new(CdSelector::Innermost).with_min_alloc(1);
         let mut log = EventLog::new(64);
-        let m = simulate_with(&t, &mut cd, SimConfig::default(), &mut log);
+        let m = run(
+            &one_page_alloc(),
+            &mut cd,
+            SimConfig::default(),
+            &mut log,
+            None,
+        )
+        .expect("no token, no stop");
         assert_eq!(m.faults, 3);
         let kinds: Vec<&str> = log.events().map(|e| e.event.kind()).collect();
         // ALLOCATE granted at clock 0, then three faults with evictions
@@ -473,122 +292,117 @@ mod tests {
         assert_eq!(log.events().next().map(|e| e.at), Some(0));
     }
 
-    #[test]
-    fn cancellable_with_idle_token_matches_simulate() {
-        use crate::cancel::CancelToken;
-        use cdmm_trace::CompressedTrace;
-        let t = synth::phased(
-            &[
-                synth::Phase {
-                    base: 0,
-                    pages: 6,
-                    refs: 300,
-                },
-                synth::Phase {
-                    base: 6,
-                    pages: 4,
-                    refs: 300,
-                },
-            ],
-            7,
-        );
-        let token = CancelToken::new();
-        let plain = simulate(&t, &mut Lru::new(5), SimConfig::default());
-        let cancellable = simulate_cancellable(&t, &mut Lru::new(5), SimConfig::default(), &token)
-            .expect("idle token completes");
-        assert_eq!(plain, cancellable);
+    /// Two phases, each opened by an ALLOCATE; the second phase runs
+    /// under a LOCK so CD's lock path sees traffic too.
+    fn directed_phases() -> Trace {
+        let phase = |base, pages, refs, seed| {
+            synth::phased(&[synth::Phase { base, pages, refs }], seed).events
+        };
+        let mut events = vec![Event::Alloc(vec![AllocArg { pi: 1, pages: 4 }])];
+        events.extend(phase(0, 6, 400, 9));
+        events.push(Event::Alloc(vec![AllocArg { pi: 1, pages: 3 }]));
+        let ranges = vec![PageRange::new(6, 8)];
+        events.push(Event::Lock {
+            pj: 1,
+            ranges: ranges.clone(),
+        });
+        events.extend(phase(6, 3, 400, 10));
+        events.push(Event::Unlock { ranges });
+        events.extend(synth::cyclic(9, 20).events);
+        Trace::from_events(events)
+    }
 
-        // Same through the compressed streaming path.
-        let c = CompressedTrace::from_trace(&t);
-        let streamed = simulate_cancellable(&c, &mut Lru::new(5), SimConfig::default(), &token)
-            .expect("idle token completes");
-        assert_eq!(plain, streamed);
+    type MakePolicy = fn() -> Box<dyn Policy>;
+
+    const POLICIES: [(&str, MakePolicy); 4] = [
+        ("LRU", || Box::new(Lru::new(4))),
+        ("WS", || Box::new(WorkingSet::new(50))),
+        ("CD", || Box::new(CdPolicy::new(CdSelector::Innermost))),
+        ("FIFO", || Box::new(Fifo::new(4))),
+    ];
+
+    const TRACERS: [&str; 4] = ["null", "log", "log+refs", "registry"];
+
+    /// Runs one request under the named tracer; returns the result and
+    /// a rendering of everything the tracer observed.
+    fn observed(
+        tracer: &str,
+        mut request: impl FnMut(&mut dyn Tracer) -> Result<Metrics, SimError>,
+    ) -> (Result<Metrics, SimError>, String) {
+        match tracer {
+            "null" => (request(&mut NullTracer), String::new()),
+            "registry" => {
+                let mut registry = MetricsRegistry::new();
+                let result = request(&mut registry);
+                (result, format!("{:?}", registry.snapshot()))
+            }
+            _ => {
+                let mut log = EventLog::new(1 << 16).with_refs(tracer == "log+refs");
+                let result = request(&mut log);
+                assert_eq!(log.dropped(), 0, "the log must hold the whole run");
+                (result, format!("{:?}", log.events().collect::<Vec<_>>()))
+            }
+        }
+    }
+
+    /// Every cell of {policy} × {tracer} × {no token, idle token, fired
+    /// token} on one trace source.
+    fn check_request_matrix<S: EventSource>(source: &str, trace: &S, flat: &Trace) {
+        let cfg = SimConfig::default();
+        for (name, make) in POLICIES {
+            let oracle = simulate(flat, make().as_mut(), cfg);
+            for tracer in TRACERS {
+                let cell = format!("{name} / {source} / {tracer}");
+                let (untokened, stream) =
+                    observed(tracer, |t| run(trace, make().as_mut(), cfg, t, None));
+                assert_eq!(untokened, Ok(oracle), "{cell}: no token");
+                assert_eq!(stream.is_empty(), tracer == "null", "{cell}: tracer fed");
+
+                let idle = CancelToken::new();
+                let (tokened, idle_stream) =
+                    observed(tracer, |t| run(trace, make().as_mut(), cfg, t, Some(&idle)));
+                assert_eq!(tokened, Ok(oracle), "{cell}: idle token");
+                assert_eq!(idle_stream, stream, "{cell}: idle token changed the events");
+
+                let fired = CancelToken::new();
+                fired.cancel();
+                let (stopped, _) = observed(tracer, |t| {
+                    run(trace, make().as_mut(), cfg, t, Some(&fired))
+                });
+                assert_eq!(
+                    stopped,
+                    Err(SimError::DeadlineExceeded { refs_done: 0 }),
+                    "{cell}: fired token"
+                );
+            }
+        }
     }
 
     #[test]
-    fn cancelled_token_stops_before_first_reference() {
-        use crate::cancel::CancelToken;
-        let t = synth::cyclic(4, 100);
-        let token = CancelToken::new();
-        token.cancel();
-        let err = simulate_cancellable(&t, &mut Lru::new(4), SimConfig::default(), &token);
-        assert_eq!(err, Err(SimError::DeadlineExceeded { refs_done: 0 }));
+    fn every_request_matches_the_oracle() {
+        let flat = directed_phases();
+        check_request_matrix("flat", &flat, &flat);
+        check_request_matrix("compressed", &CompressedTrace::from_trace(&flat), &flat);
     }
 
     #[test]
     fn expired_deadline_reports_refs_done() {
-        use crate::cancel::CancelToken;
         use std::time::Duration;
         let t = synth::cyclic(4, 1000);
         let token = CancelToken::with_deadline(Duration::ZERO);
-        let err = simulate_cancellable(&t, &mut Lru::new(4), SimConfig::default(), &token);
+        let err = run(
+            &t,
+            &mut Lru::new(4),
+            SimConfig::default(),
+            &mut NullTracer,
+            Some(&token),
+        );
         match err {
             Err(SimError::DeadlineExceeded { refs_done }) => {
                 assert!(refs_done < t.ref_count(), "must stop before the end")
             }
             other => panic!("expected DeadlineExceeded, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn run_level_matches_per_ref_for_every_policy_family() {
-        use cdmm_trace::CompressedTrace;
-        let t = synth::phased(
-            &[
-                synth::Phase {
-                    base: 0,
-                    pages: 6,
-                    refs: 400,
-                },
-                synth::Phase {
-                    base: 6,
-                    pages: 3,
-                    refs: 400,
-                },
-            ],
-            9,
-        );
-        let c = CompressedTrace::from_trace(&t);
-        let cfg = SimConfig::default();
-
-        let per_ref = simulate(&t, &mut Lru::new(4), cfg);
-        let run_level = simulate_run_level(&c, &mut Lru::new(4), cfg);
-        assert_eq!(per_ref, run_level, "LRU");
-
-        let per_ref = simulate(&t, &mut WorkingSet::new(50), cfg);
-        let run_level = simulate_run_level(&c, &mut WorkingSet::new(50), cfg);
-        assert_eq!(per_ref, run_level, "WS");
-
-        let per_ref = simulate(&t, &mut CdPolicy::new(CdSelector::Innermost), cfg);
-        let run_level = simulate_run_level(&c, &mut CdPolicy::new(CdSelector::Innermost), cfg);
-        assert_eq!(per_ref, run_level, "CD");
-    }
-
-    #[test]
-    fn run_level_on_a_flat_trace_degenerates_to_simulate() {
-        let t = synth::uniform(12, 2_000, 3);
-        let per_ref = simulate(&t, &mut Lru::new(6), SimConfig::default());
-        let run_level = simulate_run_level(&t, &mut Lru::new(6), SimConfig::default());
-        assert_eq!(per_ref, run_level);
-    }
-
-    #[test]
-    fn run_level_cancellable_idle_token_matches_and_dead_token_stops() {
-        use crate::cancel::CancelToken;
-        use cdmm_trace::CompressedTrace;
-        let t = synth::cyclic(6, 200);
-        let c = CompressedTrace::from_trace(&t);
-        let token = CancelToken::new();
-        let plain = simulate_run_level(&c, &mut Lru::new(6), SimConfig::default());
-        let same =
-            simulate_run_level_cancellable(&c, &mut Lru::new(6), SimConfig::default(), &token)
-                .expect("idle token completes");
-        assert_eq!(plain, same);
-
-        token.cancel();
-        let err =
-            simulate_run_level_cancellable(&c, &mut Lru::new(6), SimConfig::default(), &token);
-        assert_eq!(err, Err(SimError::DeadlineExceeded { refs_done: 0 }));
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub struct PiStats {
 /// A registry of named counters, gauges, and streaming histograms.
 ///
 /// Implements [`Tracer`], so any driver that accepts a tracer
-/// ([`crate::simulate_with`], the executor observer, the `Simulation`
+/// ([`crate::run`], the executor observer, the `Simulation`
 /// facade's `.metrics()` knob) can feed it. Counters and histograms can
 /// also be bumped directly by name for metrics that do not originate as
 /// simulation events.

@@ -323,7 +323,7 @@ mod tests {
             .expect("MAIN runs");
         let w = by_name("MAIN", Scale::Small).expect("workload");
         let p = prepare(w.name, &w.source, PipelineConfig::default()).expect("pipeline");
-        assert_eq!(report.metrics, p.run_lru(8));
+        assert_eq!(report.metrics, p.run_policy(PolicySpec::Lru { frames: 8 }));
         assert_eq!(report.policy, "LRU(8)");
     }
 

@@ -13,7 +13,7 @@ use std::path::PathBuf;
 
 use cdmm_core::sweep::cache::{decode_line, encode_line};
 use cdmm_core::sweep::{cached_lru, point_key, PolicyId};
-use cdmm_core::{prepare, CacheKey, Executor, PipelineConfig, Prepared, ResultCache};
+use cdmm_core::{prepare, CacheKey, Executor, PipelineConfig, PolicySpec, Prepared, ResultCache};
 use cdmm_trace::synth::SplitMix64;
 use cdmm_vmsim::Metrics;
 use cdmm_workloads::{by_name, Scale};
@@ -101,7 +101,7 @@ fn cache_round_trip_equals_recompute() {
         assert_eq!(hit, *want, "cached metrics drifted for frames={f}");
         // And the hit equals a from-scratch simulation, not just the
         // stored copy of one.
-        assert_eq!(hit, p.run_lru(f));
+        assert_eq!(hit, p.run_policy(PolicySpec::Lru { frames: f }));
     }
     assert_eq!(warm.stats().cache_hits, frames.len() as u64);
     let _ = std::fs::remove_dir_all(&dir);
@@ -157,7 +157,7 @@ fn poisoned_cache_file_is_discarded_and_recomputed() {
     let dir = temp_dir("poisoned");
     let p = prepared("INIT");
     let key = point_key(&p, PolicyId::Lru { frames: 4 });
-    let truth = p.run_lru(4);
+    let truth = p.run_policy(PolicySpec::Lru { frames: 4 });
 
     // Seed the cache with one valid entry, then vandalise the file.
     let cache = ResultCache::at_dir(&dir).unwrap();

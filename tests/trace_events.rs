@@ -55,8 +55,15 @@ fn traced_jsonl() -> String {
     let p = prepared();
     let path = std::env::temp_dir().join(format!("cdmm_trace_events_{}.jsonl", std::process::id()));
     let mut sink = JsonlSink::create(&path).expect("create jsonl sink");
-    let traced = p.run_cd_with(CdSelector::AtLevel(2), &mut sink);
-    let untraced = p.run_cd(CdSelector::AtLevel(2));
+    let traced = p.run_policy_with(
+        PolicySpec::Cd {
+            selector: CdSelector::AtLevel(2),
+        },
+        &mut sink,
+    );
+    let untraced = p.run_policy(PolicySpec::Cd {
+        selector: CdSelector::AtLevel(2),
+    });
     assert_eq!(traced, untraced, "the sink must not alter the run");
 
     let lines = JsonlSink::validate_file(&path).expect("every line checksums");
@@ -95,7 +102,12 @@ fn fixture_file_itself_validates() {
 fn event_stream_covers_the_directive_kinds() {
     let p = prepared();
     let mut log = EventLog::new(1 << 14);
-    p.run_cd_with(CdSelector::AtLevel(2), &mut log);
+    p.run_policy_with(
+        PolicySpec::Cd {
+            selector: CdSelector::AtLevel(2),
+        },
+        &mut log,
+    );
     assert_eq!(log.dropped(), 0, "ring too small for the fixture run");
     let kinds: std::collections::BTreeSet<&str> = log.events().map(|e| e.event.kind()).collect();
     for want in ["alloc", "lock", "unlock", "fault", "evict"] {
@@ -114,7 +126,12 @@ fn recovery_skips_exactly_the_torn_tail() {
         std::process::id()
     ));
     let mut sink = JsonlSink::create(&path).expect("create jsonl sink");
-    p.run_cd_with(CdSelector::AtLevel(2), &mut sink);
+    p.run_policy_with(
+        PolicySpec::Cd {
+            selector: CdSelector::AtLevel(2),
+        },
+        &mut sink,
+    );
     let written = sink.written();
     drop(sink);
 
