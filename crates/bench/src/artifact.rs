@@ -5,8 +5,9 @@
 //! An [`Artifact`] is a flat list of entries, each a stable string id
 //! plus ordered numeric fields. It serializes to pretty-printed JSON
 //! with a `schema` version tag (see [`SCHEMA`]) and parses back with a
-//! small built-in reader — the workspace has no serde, and the format
-//! is deliberately narrow: strings appear only as ids and tags, every
+//! small envelope reader around the workspace's flat-object reader
+//! ([`cdmm_vmsim::jsonl`]), one call per entry. The format is
+//! deliberately narrow: strings appear only as ids and tags, every
 //! measurement is a number.
 //!
 //! Determinism: fields keep insertion order, integers print exactly,
@@ -22,6 +23,8 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+use cdmm_vmsim::jsonl::{self, escape_json, Scalar};
 
 /// Artifact schema version tag. Bump when the shape changes; the
 /// parser accepts the current tag and every entry of
@@ -149,7 +152,7 @@ impl Artifact {
         s.push_str("  \"entries\": [");
         for (i, e) in self.entries.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
-            s.push_str(&format!("    {{\"id\": \"{}\"", e.id));
+            s.push_str(&format!("    {{\"id\": \"{}\"", escape_json(&e.id)));
             for (name, v) in &e.fields {
                 s.push_str(&format!(", \"{name}\": {v}"));
             }
@@ -203,28 +206,24 @@ pub fn is_wall_field(name: &str) -> bool {
     name.ends_with("_ns") || name.ends_with("_per_sec") || name.starts_with("sched_")
 }
 
+/// The envelope reader: `schema`/`kind`/`scale` and the `entries` list;
+/// each entry is one flat object for [`jsonl::read_object_at`].
 struct Parser<'a> {
-    s: &'a [u8],
+    text: &'a str,
     i: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        Parser {
-            s: text.as_bytes(),
-            i: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
+        Parser { text, i: 0 }
     }
 
     fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.s.get(self.i).copied()
+        let s = self.text.as_bytes();
+        while s.get(self.i).is_some_and(u8::is_ascii_whitespace) {
+            self.i += 1;
+        }
+        s.get(self.i).copied()
     }
 
     fn expect(&mut self, ch: u8) -> Result<(), String> {
@@ -245,65 +244,15 @@ impl<'a> Parser<'a> {
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let start = self.i;
-        while self.i < self.s.len() && self.s[self.i] != b'"' {
-            if self.s[self.i] == b'\\' {
-                return Err(format!("escape sequences unsupported at byte {}", self.i));
-            }
-            self.i += 1;
+        let len = self.text[start..]
+            .find(['"', '\\'])
+            .ok_or("unterminated string")?;
+        self.i += len;
+        if self.text.as_bytes()[self.i] == b'\\' {
+            return Err(format!("escape sequences unsupported at byte {}", self.i));
         }
-        if self.i >= self.s.len() {
-            return Err("unterminated string".to_string());
-        }
-        let out = String::from_utf8_lossy(&self.s[start..self.i]).into_owned();
         self.i += 1;
-        Ok(out)
-    }
-
-    fn number(&mut self) -> Result<Num, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self
-            .s
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        let text = std::str::from_utf8(&self.s[start..self.i])
-            .map_err(|_| "non-utf8 number".to_string())?;
-        if let Ok(v) = text.parse::<u64>() {
-            return Ok(Num::U(v));
-        }
-        text.parse::<f64>()
-            .map(Num::F)
-            .map_err(|_| format!("bad number {text:?} at byte {start}"))
-    }
-
-    fn entry(&mut self) -> Result<Entry, String> {
-        self.expect(b'{')?;
-        let mut entry = Entry::new("");
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            if key == "id" {
-                entry.id = self.string()?;
-            } else {
-                let v = self.number()?;
-                entry.fields.push((key, v));
-            }
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    break;
-                }
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-        if entry.id.is_empty() {
-            return Err("entry without an \"id\"".to_string());
-        }
-        Ok(entry)
+        Ok(self.text[start..start + len].to_string())
     }
 
     fn document(&mut self) -> Result<Artifact, String> {
@@ -323,7 +272,9 @@ impl<'a> Parser<'a> {
                         self.i += 1;
                     } else {
                         loop {
-                            artifact.entries.push(self.entry()?);
+                            let (entry, end) = read_entry(self.text, self.i)?;
+                            artifact.entries.push(entry);
+                            self.i = end;
                             match self.peek() {
                                 Some(b',') => self.i += 1,
                                 Some(b']') => {
@@ -358,6 +309,34 @@ impl<'a> Parser<'a> {
         }
         Ok(artifact)
     }
+}
+
+/// Reads one `{"id": …, "<field>": <number>, …}` entry starting at byte
+/// `at`; returns it and the offset past its closing brace. A number is
+/// [`Num::U`] when its text is an unsigned integer, else [`Num::F`].
+fn read_entry(text: &str, at: usize) -> Result<(Entry, usize), String> {
+    let mut entry = Entry::new("");
+    let end = jsonl::read_object_at(text, at, |key, value| {
+        match (key.as_str(), value) {
+            ("id", Scalar::Str(id)) => entry.id = id,
+            (_, Scalar::Num(raw)) => {
+                let v = match raw.parse::<u64>() {
+                    Ok(v) => Num::U(v),
+                    Err(_) => Num::F(
+                        raw.parse()
+                            .map_err(|_| format!("bad number {raw:?} in field {key:?}"))?,
+                    ),
+                };
+                entry.fields.push((key, v));
+            }
+            (_, other) => return Err(format!("field {key:?}: expected a number, got {other:?}")),
+        }
+        Ok(())
+    })?;
+    if entry.id.is_empty() {
+        return Err("entry without an \"id\"".to_string());
+    }
+    Ok((entry, end))
 }
 
 #[cfg(test)]

@@ -79,7 +79,7 @@ fn main() -> ExitCode {
         "a scheduler-plane tracer must not perturb the fleet report"
     );
     assert!(
-        log.len() > 0,
+        !log.is_empty(),
         "the scheduler plane must actually emit events"
     );
 

@@ -135,11 +135,10 @@ fn profile_cell(prepared: &Prepared, policy: PolicySpec, samples: u32) -> (Entry
 }
 
 /// Profiles one whole-family sweep (the paper's per-table workhorse)
-/// through the dispatching sweep entry points, so the row times
-/// whatever engine is in force: the one-pass curve kernels by default,
-/// per-point simulation under `CDMM_SWEEP_KERNELS=0`. Each sample runs
-/// against its own fresh in-memory cache — the cost of one *cold*
-/// sweep, exactly what a table pays for a program it has not seen.
+/// through the sweep entry points, which answer it with the one-pass
+/// curve kernels. Each sample runs against its own fresh in-memory
+/// cache — the cost of one *cold* sweep, exactly what a table pays for
+/// a program it has not seen.
 ///
 /// `refs` is the reference volume a *per-point* sweep must process
 /// (`points × trace refs`) — the fixed work the row's `refs_per_sec`

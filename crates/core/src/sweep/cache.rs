@@ -8,9 +8,10 @@
 //! `target/cdmm-cache/`, so re-running a table after an unrelated edit
 //! only simulates the invalidated points.
 //!
-//! Every persisted line carries a checksum over its own payload; a line
-//! that fails to parse or whose checksum does not match is discarded and
-//! the point recomputed — a poisoned cache is never trusted.
+//! Every persisted line is sealed ([`cdmm_vmsim::jsonl::seal`]): it
+//! carries a checksum over its own text, and a line that fails to open
+//! or parse is discarded and the point recomputed — a poisoned cache is
+//! never trusted.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -21,19 +22,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use cdmm_trace::synth::{mix, GAMMA};
 use cdmm_trace::{COp, CompressedTrace, Event, Trace};
+use cdmm_vmsim::jsonl::{self, get_str, get_u64};
 use cdmm_vmsim::observe::{SharedTracer, SimEvent};
 use cdmm_vmsim::{ExecStats, LruCurve, Metrics, WsCurve};
-
-/// SplitMix64 increment (golden-ratio constant).
-const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The SplitMix64 output mixer.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A 128-bit content hash identifying one simulation input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -97,12 +90,6 @@ impl KeyHasher {
         self.len = self.len.wrapping_add(1);
         self.a = mix(self.a.wrapping_add(GAMMA) ^ v);
         self.b = mix(self.b.rotate_left(23) ^ v.wrapping_mul(GAMMA));
-    }
-
-    /// Absorbs a 128-bit word.
-    pub fn write_u128(&mut self, v: u128) {
-        self.write_u64(v as u64);
-        self.write_u64((v >> 64) as u64);
     }
 
     /// Absorbs raw bytes (length-prefixed, 8-byte little-endian chunks).
@@ -206,26 +193,15 @@ pub fn fingerprint_compressed(h: &mut KeyHasher, t: &CompressedTrace) {
     }
 }
 
-/// Checksum over a serialized cache entry's payload fields.
-fn entry_checksum(key: CacheKey, m: &Metrics) -> u64 {
-    let mut h = KeyHasher::new();
-    h.write_u64(key.hi);
-    h.write_u64(key.lo);
-    h.write_u64(m.refs);
-    h.write_u64(m.faults);
-    h.write_u128(m.mem_integral);
-    h.write_u128(m.fault_mem_integral);
-    h.write_u64(m.fault_service);
-    h.write_u64(m.peak_resident as u64);
-    h.write_u64(m.recovered_directives);
-    h.write_u64(m.degraded_refs);
-    h.finish().lo
-}
+/// Version tag of the persisted line format. Version 1 checksummed the
+/// typed fields rather than the line; its lines no longer open and go
+/// to quarantine at the startup fsck.
+const LINE_VERSION: u64 = 2;
 
-/// Serializes one cache entry as a JSON line.
+/// Serializes one cache entry as a sealed JSON line ([`jsonl::seal`]).
 pub fn encode_line(key: CacheKey, m: &Metrics) -> String {
-    format!(
-        "{{\"v\":1,\"k\":\"{}\",\"refs\":{},\"pf\":{},\"mi\":\"{}\",\"fmi\":\"{}\",\"fs\":{},\"peak\":{},\"rec\":{},\"deg\":{},\"c\":\"{:016x}\"}}",
+    jsonl::seal(&format!(
+        "{{\"v\":{LINE_VERSION},\"k\":\"{}\",\"refs\":{},\"pf\":{},\"mi\":\"{}\",\"fmi\":\"{}\",\"fs\":{},\"peak\":{},\"rec\":{},\"deg\":{}",
         key.to_hex(),
         m.refs,
         m.faults,
@@ -235,42 +211,31 @@ pub fn encode_line(key: CacheKey, m: &Metrics) -> String {
         m.peak_resident,
         m.recovered_directives,
         m.degraded_refs,
-        entry_checksum(key, m),
-    )
-}
-
-/// Extracts the raw text of `"name":value` from a JSON-line, without
-/// surrounding quotes.
-fn field<'a>(line: &'a str, name: &str) -> Option<&'a str> {
-    let tag = format!("\"{name}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim_matches('"'))
+    ))
 }
 
 /// Parses one JSON line back into a cache entry. Returns `None` — the
-/// entry is discarded — on any syntactic damage, unknown version, or
-/// checksum mismatch.
+/// entry is discarded — on a checksum mismatch, any syntactic damage,
+/// or another version.
 pub fn decode_line(line: &str) -> Option<(CacheKey, Metrics)> {
-    if field(line, "v")? != "1" {
+    jsonl::open(line)?;
+    let f = jsonl::parse_flat_object(line).ok()?;
+    let int = |name: &str| get_u64(&f, name).ok().flatten();
+    let text = |name: &str| get_str(&f, name).ok().flatten();
+    if int("v")? != LINE_VERSION {
         return None;
     }
-    let key = CacheKey::from_hex(field(line, "k")?)?;
+    let key = CacheKey::from_hex(&text("k")?)?;
     let m = Metrics {
-        refs: field(line, "refs")?.parse().ok()?,
-        faults: field(line, "pf")?.parse().ok()?,
-        mem_integral: field(line, "mi")?.parse().ok()?,
-        fault_mem_integral: field(line, "fmi")?.parse().ok()?,
-        fault_service: field(line, "fs")?.parse().ok()?,
-        peak_resident: field(line, "peak")?.parse().ok()?,
-        recovered_directives: field(line, "rec")?.parse().ok()?,
-        degraded_refs: field(line, "deg")?.parse().ok()?,
+        refs: int("refs")?,
+        faults: int("pf")?,
+        mem_integral: text("mi")?.parse().ok()?,
+        fault_mem_integral: text("fmi")?.parse().ok()?,
+        fault_service: int("fs")?,
+        peak_resident: usize::try_from(int("peak")?).ok()?,
+        recovered_directives: int("rec")?,
+        degraded_refs: int("deg")?,
     };
-    let stored = u64::from_str_radix(field(line, "c")?, 16).ok()?;
-    if stored != entry_checksum(key, &m) {
-        return None;
-    }
     Some((key, m))
 }
 
@@ -699,7 +664,12 @@ mod tests {
         assert_ne!(good, bad);
         assert_eq!(decode_line(&bad), None);
         assert_eq!(decode_line("not json at all"), None);
-        assert_eq!(decode_line("{\"v\":2}"), None);
+        assert_eq!(decode_line(&jsonl::seal("{\"v\":2")), None);
+        assert_eq!(
+            decode_line(&good.replace("\"v\":2,", "\"v\":3,")),
+            None,
+            "another version does not open"
+        );
     }
 
     #[test]
@@ -836,6 +806,22 @@ mod tests {
         let c2 = ResultCache::at_dir(&dir).expect("reopen");
         assert_eq!(c2.discarded_entries(), 0);
         assert_eq!(c2.len(), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_1_lines_are_quarantined_not_decoded() {
+        // `sample_metrics(9)` under key {1, 2}, as the version 1 format
+        // wrote it (checksum over the typed fields, not the line).
+        const V1: &str = r#"{"v":1,"k":"00000000000000010000000000000002","refs":286,"pf":27,"mi":"166020696663385964586","fmi":"8991","fs":2000,"peak":9,"rec":4,"deg":9,"c":"6205540d1ae746e3"}"#;
+        assert_eq!(decode_line(V1), None);
+        let dir = temp_dir("v1");
+        fs::write(dir.join(CACHE_FILE), format!("{V1}\n")).expect("seed");
+        let c = ResultCache::at_dir(&dir).expect("open");
+        assert_eq!(c.discarded_entries(), 1);
+        assert_eq!(c.lookup(CacheKey { hi: 1, lo: 2 }), None);
+        let q = fs::read_to_string(dir.join(QUARANTINE_FILE)).expect("quarantine");
+        assert_eq!(q, format!("{V1}\n"));
         let _ = fs::remove_dir_all(&dir);
     }
 

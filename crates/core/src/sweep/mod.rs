@@ -22,11 +22,10 @@
 //! The plain [`lru_sweep`]/[`ws_sweep`] entry points are serial and
 //! uncached; the `_with` variants take the engine explicitly.
 //!
-//! By default every LRU/WS sweep and matching search is answered by the
-//! one-pass curve kernels behind [`SweepPlan`] — one trace pass per
-//! program per family instead of one simulation per point, with
-//! byte-identical results (see the [`plan`] module docs). Set
-//! `CDMM_SWEEP_KERNELS=0` to force per-point simulation.
+//! Every LRU/WS sweep and matching search is answered by the one-pass
+//! curve kernels behind [`SweepPlan`] — one trace pass per program per
+//! family instead of one simulation per point, with byte-identical
+//! results (see the [`plan`] module docs).
 
 pub mod cache;
 pub mod executor;
@@ -35,7 +34,6 @@ pub mod plan;
 use std::time::Instant;
 
 use cdmm_vmsim::policy::cd::CdSelector;
-use cdmm_vmsim::stack::StackProfile;
 use cdmm_vmsim::Metrics;
 
 use crate::pipeline::{PolicySpec, Prepared};
@@ -278,12 +276,9 @@ pub fn lru_sweep(p: &Prepared, frames: impl IntoIterator<Item = usize>) -> Vec<P
     lru_sweep_with(&Executor::serial(), &ResultCache::disabled(), p, frames)
 }
 
-/// [`lru_sweep`] sharded across an executor's workers, each point routed
-/// through the result cache. Point order is deterministic (ascending
-/// over the input order) for every thread count.
-///
-/// With the curve kernels on (the default), the whole sweep is answered
-/// from one stack-distance pass; otherwise every point simulates.
+/// [`lru_sweep`] through an executor and the result cache, answered
+/// from one stack-distance pass. Point order follows the input order
+/// for every thread count.
 pub fn lru_sweep_with(
     exec: &Executor,
     cache: &ResultCache,
@@ -295,13 +290,7 @@ pub fn lru_sweep_with(
         .filter(|&m| m >= 1)
         .map(|m| m as u64)
         .collect();
-    if plan::kernels_enabled() {
-        return SweepPlan::new(cache, p).lru_points(exec, &params);
-    }
-    exec.map(&params, |_, &m| Point {
-        param: m,
-        metrics: cached_lru(cache, p, m as usize),
-    })
+    SweepPlan::new(cache, p).lru_points(exec, &params)
 }
 
 /// Simulates WS at every window in `taus`.
@@ -309,10 +298,8 @@ pub fn ws_sweep(p: &Prepared, taus: impl IntoIterator<Item = u64>) -> Vec<Point>
     ws_sweep_with(&Executor::serial(), &ResultCache::disabled(), p, taus)
 }
 
-/// [`ws_sweep`] sharded across an executor's workers, cached per point.
-///
-/// With the curve kernels on (the default), the whole grid is answered
-/// from one gap-histogram pass; otherwise every window simulates.
+/// [`ws_sweep`] through an executor and the result cache, answered from
+/// one gap-histogram pass.
 pub fn ws_sweep_with(
     exec: &Executor,
     cache: &ResultCache,
@@ -320,13 +307,7 @@ pub fn ws_sweep_with(
     taus: impl IntoIterator<Item = u64>,
 ) -> Vec<Point> {
     let params: Vec<u64> = taus.into_iter().filter(|&t| t >= 1).collect();
-    if plan::kernels_enabled() {
-        return SweepPlan::new(cache, p).ws_points(exec, &params);
-    }
-    exec.map(&params, |_, &t| Point {
-        param: t,
-        metrics: cached_ws(cache, p, t),
-    })
+    SweepPlan::new(cache, p).ws_points(exec, &params)
 }
 
 /// The paper's LRU sweep range: every allocation from 1 to the program's
@@ -392,14 +373,7 @@ pub fn lru_match_mem(p: &Prepared, target_mem: f64) -> Point {
 
 /// [`lru_match_mem`] through the result cache.
 pub fn lru_match_mem_with(cache: &ResultCache, p: &Prepared, target_mem: f64) -> Point {
-    if plan::kernels_enabled() {
-        return SweepPlan::new(cache, p).lru_match_mem(target_mem);
-    }
-    let m = target_mem.round().max(1.0) as usize;
-    Point {
-        param: m as u64,
-        metrics: cached_lru(cache, p, m),
-    }
+    SweepPlan::new(cache, p).lru_match_mem(target_mem)
 }
 
 /// WS at the window whose mean memory best matches the target (binary
@@ -408,20 +382,15 @@ pub fn ws_match_mem(p: &Prepared, target_mem: f64) -> Point {
     ws_match_mem_with(&ResultCache::disabled(), p, target_mem)
 }
 
-/// [`ws_match_mem`] through the result cache. With the kernels on, the
-/// binary search probes the gap curve (no simulations at all); the
-/// fallback simulates each probe, memoized, so re-running a table
-/// replays the search from cache alone.
+/// [`ws_match_mem`] through the result cache: the binary search probes
+/// the gap curve, no simulations at all.
 pub fn ws_match_mem_with(cache: &ResultCache, p: &Prepared, target_mem: f64) -> Point {
-    if plan::kernels_enabled() {
-        return SweepPlan::new(cache, p).ws_match_mem(target_mem);
-    }
-    ws_match_mem_sim(cache, p, target_mem)
+    SweepPlan::new(cache, p).ws_match_mem(target_mem)
 }
 
-/// The per-point-simulation body of [`ws_match_mem_with`]; the kernel
-/// path replays this probe sequence exactly, so the differential tests
-/// hold the two to identical results.
+/// [`ws_match_mem_with`] by per-point simulation: the reference whose
+/// probe sequence the kernel path replays exactly.
+#[cfg(test)]
 fn ws_match_mem_sim(cache: &ResultCache, p: &Prepared, target_mem: f64) -> Point {
     let r = p.plain_trace().ref_count().max(2);
     let mut lo = 1u64;
@@ -464,19 +433,16 @@ pub fn lru_match_pf(p: &Prepared, pf_budget: u64) -> Point {
     lru_match_pf_with(&ResultCache::disabled(), p, pf_budget)
 }
 
-/// [`lru_match_pf`] through the result cache. With the kernels on, the
-/// curve that answers the allocation search also answers the point's
-/// metrics, so the fallback's extra simulation disappears.
+/// [`lru_match_pf`] through the result cache: the curve that answers
+/// the allocation search also answers the point's metrics.
 pub fn lru_match_pf_with(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
-    if plan::kernels_enabled() {
-        return SweepPlan::new(cache, p).lru_match_pf(pf_budget);
-    }
-    lru_match_pf_sim(cache, p, pf_budget)
+    SweepPlan::new(cache, p).lru_match_pf(pf_budget)
 }
 
-/// The per-point-simulation body of [`lru_match_pf_with`].
+/// [`lru_match_pf_with`] by per-point simulation, the kernel's reference.
+#[cfg(test)]
 fn lru_match_pf_sim(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
-    let profile = StackProfile::compute(p.plain_trace());
+    let profile = cdmm_vmsim::stack::StackProfile::compute(p.plain_trace());
     let m = profile
         .min_alloc_for(pf_budget)
         .unwrap_or(profile.distinct().max(1));
@@ -493,17 +459,14 @@ pub fn ws_match_pf(p: &Prepared, pf_budget: u64) -> Point {
     ws_match_pf_with(&ResultCache::disabled(), p, pf_budget)
 }
 
-/// [`ws_match_pf`] through the result cache. With the kernels on, the
-/// fault-count probes read the gap curve and only the minimal window is
-/// materialized.
+/// [`ws_match_pf`] through the result cache: the fault-count probes
+/// read the gap curve and only the minimal window is materialized.
 pub fn ws_match_pf_with(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
-    if plan::kernels_enabled() {
-        return SweepPlan::new(cache, p).ws_match_pf(pf_budget);
-    }
-    ws_match_pf_sim(cache, p, pf_budget)
+    SweepPlan::new(cache, p).ws_match_pf(pf_budget)
 }
 
-/// The per-point-simulation body of [`ws_match_pf_with`].
+/// [`ws_match_pf_with`] by per-point simulation, the kernel's reference.
+#[cfg(test)]
 fn ws_match_pf_sim(cache: &ResultCache, p: &Prepared, pf_budget: u64) -> Point {
     let r = p.plain_trace().ref_count().max(2);
     let mut lo = 1u64;

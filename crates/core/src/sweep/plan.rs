@@ -26,9 +26,6 @@
 //! and table harness stay warm for each other, and the Table 3/4 binary
 //! searches become probes against the curve instead of fresh
 //! simulations.
-//!
-//! Setting `CDMM_SWEEP_KERNELS=0` disables the kernels; every sweep
-//! entry point then falls back to per-point simulation.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -38,12 +35,6 @@ use cdmm_vmsim::{LruCurve, Metrics, WsCurve};
 use crate::pipeline::Prepared;
 
 use super::{CacheKey, Executor, KeyHasher, Point, PolicyId, ResultCache};
-
-/// Are the one-pass kernels in force? (`CDMM_SWEEP_KERNELS=0` opts the
-/// process back into per-point simulation.)
-pub fn kernels_enabled() -> bool {
-    std::env::var("CDMM_SWEEP_KERNELS").map_or(true, |v| v != "0")
-}
 
 /// Curve-level cache key: a domain tag (30 for LRU, 31 for WS —
 /// disjoint from the point-policy tags 1–3, the spec tags 10–16, and

@@ -14,15 +14,10 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
+use cdmm_vmsim::jsonl::{escape_json, mix};
+
 /// SplitMix64 increment (golden-ratio constant).
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The SplitMix64 output mixer.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Where a fault can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,7 +146,7 @@ impl FaultInjector {
         let cut = (data.len() - cut_at) as u64;
         self.log(format!(
             "{{\"site\":\"torn_write\",\"path\":\"{}\",\"salt\":{salt},\"cut_bytes\":{cut}}}",
-            path.display()
+            escape_json(&path.display().to_string())
         ));
         Ok(cut)
     }
@@ -167,7 +162,7 @@ impl FaultInjector {
         let keep = (half + self.roll(FaultSite::ShortRead, salt, 0, half)) as usize;
         self.log(format!(
             "{{\"site\":\"short_read\",\"path\":\"{}\",\"salt\":{salt},\"kept\":{keep},\"len\":{}}}",
-            path.display(),
+            escape_json(&path.display().to_string()),
             data.len()
         ));
         Ok(data[..keep].to_vec())
@@ -292,6 +287,31 @@ mod tests {
         fs::write(&path, "first line intact\nsecond line gets torn\n").expect("reseed");
         FaultInjector::new(99).tear_tail(&path, 0).expect("tear 2");
         assert_eq!(fs::read_to_string(&path).expect("read"), text);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_lines_stay_valid_json_for_any_directory_name() {
+        use cdmm_vmsim::jsonl::{get_str, parse_flat_object};
+
+        let dir = std::env::temp_dir().join(format!(
+            "cdmm-faults-\"quoted\" back\\slash-{}",
+            std::process::id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).expect("mkdir");
+        let path = dir.join("file.jsonl");
+        fs::write(&path, "first line intact\nsecond line gets torn\n").expect("seed");
+        let f = FaultInjector::new(3);
+        f.tear_tail(&path, 0).expect("tear");
+        f.short_read(&path, 1).expect("short read");
+        let lines = f.journal_lines();
+        assert_eq!(lines.len(), 2);
+        for line in &lines {
+            let fields = parse_flat_object(line).expect(line);
+            let logged = get_str(&fields, "path").expect(line);
+            assert_eq!(logged.as_deref(), Some(path.to_str().expect("utf-8 path")));
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,10 +1,10 @@
 //! The JSONL request/response schema of `cdmm-serve`.
 //!
-//! One request per line, one flat JSON object per request — parsed by a
-//! small hand-rolled scanner (the workspace is dependency-free by
-//! design, so there is no serde to lean on). Values are strings,
-//! numbers, booleans, or null; nested objects and arrays are rejected
-//! with a typed `bad_request` response rather than a panic.
+//! One request per line, one flat JSON object per request — parsed by
+//! the workspace's one flat-object reader ([`cdmm_vmsim::jsonl`]).
+//! Values are strings, numbers, booleans, or null; nested objects and
+//! arrays are rejected with a typed `bad_request` response rather than
+//! a panic.
 //!
 //! Responses are likewise one JSON object per line. Success rows carry
 //! only deterministic simulation fields — no wall times, no cache-hit
@@ -27,9 +27,12 @@ use std::fmt;
 use cdmm_core::fleet::FleetSpec;
 use cdmm_core::sweep::{KeyHasher, Point};
 use cdmm_core::{PageGeometry, PipelineConfig, PolicySpec};
+use cdmm_vmsim::jsonl::{get_bool, get_str, get_u64, parse_flat_object, Scalar};
 use cdmm_vmsim::policy::cd::CdSelector;
 use cdmm_vmsim::{Admission, FleetReport, Metrics, RegistrySnapshot};
 use cdmm_workloads::Scale;
+
+pub use cdmm_vmsim::jsonl::escape_json;
 
 /// Where the job's program comes from.
 #[derive(Debug, Clone, PartialEq)]
@@ -342,25 +345,6 @@ impl fmt::Display for ErrorKind {
     }
 }
 
-/// Escapes a string for embedding in a JSON value.
-pub fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Serializes a success response: id, policy label, and the
 /// deterministic [`Metrics`] fields only.
 pub fn encode_ok(id: &str, label: &str, m: &Metrics) -> String {
@@ -510,157 +494,6 @@ pub fn encode_err(id: &str, kind: ErrorKind, detail: &str) -> String {
         kind.tag(),
         escape_json(detail),
     )
-}
-
-/// One scalar JSON value the flat schema accepts.
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    Str(String),
-    /// Numbers keep their raw text; fields parse them into the width
-    /// they need.
-    Num(String),
-    Bool(bool),
-    Null,
-}
-
-/// Scans one flat JSON object (`{"k":v,...}`) into a field map.
-/// Rejects nesting, duplicate keys, and trailing garbage.
-fn parse_flat_object(line: &str) -> Result<BTreeMap<String, Scalar>, String> {
-    let mut chars = line.char_indices().peekable();
-    let mut fields = BTreeMap::new();
-
-    let skip_ws = |chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>| {
-        while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-            chars.next();
-        }
-    };
-
-    fn parse_string(
-        chars: &mut std::iter::Peekable<std::str::CharIndices<'_>>,
-    ) -> Result<String, String> {
-        match chars.next() {
-            Some((_, '"')) => {}
-            other => return Err(format!("expected string, found {other:?}")),
-        }
-        let mut out = String::new();
-        loop {
-            match chars.next() {
-                None => return Err("unterminated string".into()),
-                Some((_, '"')) => return Ok(out),
-                Some((_, '\\')) => match chars.next() {
-                    Some((_, '"')) => out.push('"'),
-                    Some((_, '\\')) => out.push('\\'),
-                    Some((_, '/')) => out.push('/'),
-                    Some((_, 'n')) => out.push('\n'),
-                    Some((_, 't')) => out.push('\t'),
-                    Some((_, 'r')) => out.push('\r'),
-                    Some((_, 'b')) => out.push('\u{8}'),
-                    Some((_, 'f')) => out.push('\u{c}'),
-                    Some((_, 'u')) => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = chars
-                                .next()
-                                .and_then(|(_, c)| c.to_digit(16))
-                                .ok_or("bad \\u escape")?;
-                            code = code * 16 + d;
-                        }
-                        out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some((_, c)) => out.push(c),
-            }
-        }
-    }
-
-    skip_ws(&mut chars);
-    match chars.next() {
-        Some((_, '{')) => {}
-        _ => return Err("request is not a JSON object".into()),
-    }
-    skip_ws(&mut chars);
-    if matches!(chars.peek(), Some((_, '}'))) {
-        chars.next();
-    } else {
-        loop {
-            skip_ws(&mut chars);
-            let key = parse_string(&mut chars).map_err(|e| format!("key: {e}"))?;
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some((_, ':')) => {}
-                _ => return Err(format!("missing ':' after \"{key}\"")),
-            }
-            skip_ws(&mut chars);
-            let value = match chars.peek() {
-                Some((_, '"')) => Scalar::Str(parse_string(&mut chars)?),
-                Some((_, '{')) | Some((_, '[')) => {
-                    return Err(format!("field \"{key}\": nested values are not supported"))
-                }
-                Some((start, _)) => {
-                    let start = *start;
-                    let mut end = line.len();
-                    while let Some((i, c)) = chars.peek() {
-                        if matches!(c, ',' | '}') || c.is_ascii_whitespace() {
-                            end = *i;
-                            break;
-                        }
-                        chars.next();
-                    }
-                    let raw = &line[start..end];
-                    match raw {
-                        "true" => Scalar::Bool(true),
-                        "false" => Scalar::Bool(false),
-                        "null" => Scalar::Null,
-                        n if n.parse::<f64>().is_ok() => Scalar::Num(n.to_string()),
-                        other => return Err(format!("field \"{key}\": bad value `{other}`")),
-                    }
-                }
-                None => return Err("truncated object".into()),
-            };
-            if fields.insert(key.clone(), value).is_some() {
-                return Err(format!("duplicate field \"{key}\""));
-            }
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some((_, ',')) => continue,
-                Some((_, '}')) => break,
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-    skip_ws(&mut chars);
-    if let Some((_, c)) = chars.next() {
-        return Err(format!("trailing garbage `{c}` after object"));
-    }
-    Ok(fields)
-}
-
-fn get_str(fields: &BTreeMap<String, Scalar>, key: &str) -> Result<Option<String>, String> {
-    match fields.get(key) {
-        None | Some(Scalar::Null) => Ok(None),
-        Some(Scalar::Str(s)) => Ok(Some(s.clone())),
-        Some(other) => Err(format!("field \"{key}\" must be a string, got {other:?}")),
-    }
-}
-
-fn get_u64(fields: &BTreeMap<String, Scalar>, key: &str) -> Result<Option<u64>, String> {
-    match fields.get(key) {
-        None | Some(Scalar::Null) => Ok(None),
-        Some(Scalar::Num(n)) => n
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|_| format!("field \"{key}\" must be a non-negative integer, got `{n}`")),
-        Some(other) => Err(format!("field \"{key}\" must be a number, got {other:?}")),
-    }
-}
-
-fn get_bool(fields: &BTreeMap<String, Scalar>, key: &str) -> Result<Option<bool>, String> {
-    match fields.get(key) {
-        None | Some(Scalar::Null) => Ok(None),
-        Some(Scalar::Bool(b)) => Ok(Some(*b)),
-        Some(other) => Err(format!("field \"{key}\" must be a boolean, got {other:?}")),
-    }
 }
 
 /// Resolves the `policy`/`level`/`frames`/`tau`/`threshold` fields into
@@ -1179,7 +1012,6 @@ mod tests {
     #[test]
     fn malformed_requests_are_typed_errors() {
         for (line, needle) in [
-            ("not json", "not a JSON object"),
             ("{\"id\":\"x\"}", "workload"),
             (r#"{"id":"x","workload":"MAIN"}"#, "policy"),
             (r#"{"id":"x","workload":"MAIN","policy":"lru"}"#, "frames"),
@@ -1198,15 +1030,6 @@ mod tests {
             (
                 r#"{"id":"x","workload":"MAIN","policy":"cd","scale":"huge"}"#,
                 "unknown scale",
-            ),
-            (r#"{"id":"x","nested":{"a":1},"policy":"cd"}"#, "nested"),
-            (
-                r#"{"id":"x","id":"y","workload":"MAIN","policy":"cd"}"#,
-                "duplicate",
-            ),
-            (
-                r#"{"id":"x","workload":"MAIN","policy":"cd"} extra"#,
-                "trailing",
             ),
             (r#"{"id":"","workload":"MAIN","policy":"cd"}"#, "non-empty"),
             (
@@ -1258,17 +1081,6 @@ mod tests {
             assert!(!kind.tag().is_empty());
             assert_eq!(kind.to_string(), kind.tag());
         }
-    }
-
-    #[test]
-    fn escape_round_trips_through_the_parser() {
-        let nasty = "line1\nline2\t\"quoted\" \\ slash\u{1}";
-        let line = format!(
-            "{{\"id\":\"{}\",\"workload\":\"MAIN\",\"policy\":\"cd\"}}",
-            escape_json(nasty)
-        );
-        let r = sim(&line);
-        assert_eq!(r.id, nasty);
     }
 
     #[test]

@@ -33,11 +33,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use cdmm_core::fleet::{prepare_fleet, FleetError};
-use cdmm_core::sweep::{self, plan, spec_key, Point, SweepPlan};
+use cdmm_core::sweep::{self, spec_key, Point, SweepPlan};
 use cdmm_core::{
     panic_message, prepare_cancellable, Executor, InterpError, PipelineConfig, PipelineError,
-    PolicySpec, Prepared, ResultCache,
+    Prepared, ResultCache,
 };
+use cdmm_vmsim::jsonl::mix;
 use cdmm_vmsim::{
     CancelToken, FleetReport, Histogram, JsonlSink, Metrics, MetricsRegistry, NullTracer,
     ProgressCounters, SimError, Tee,
@@ -102,13 +103,6 @@ pub struct ServeStats {
     pub retries: u64,
     /// Cache flushes that returned an I/O error (service kept going).
     pub flush_failures: u64,
-}
-
-/// SplitMix64 mixer for backoff jitter.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The deterministic, jittered backoff before attempt `attempt` (≥ 1)
@@ -589,9 +583,7 @@ impl BatchService {
     /// trace pass builds the family's curve (memoized per program in
     /// the [`ResultCache`], each materialized point warming the
     /// per-point cache that sim jobs read), and every parameter is an
-    /// O(log) evaluation. With `CDMM_SWEEP_KERNELS=0` the job falls
-    /// back to per-point cancellable simulation, byte-identical by the
-    /// curve-equivalence gate.
+    /// O(log) evaluation.
     fn execute_sweep(&self, req: &SweepRequest, token: &CancelToken) -> JobOutcome {
         let prepared = match self.resolve_program(
             &req.work,
@@ -607,46 +599,6 @@ impl BatchService {
             SweepFamily::Lru => sweep::full_lru_range(&prepared).map(|m| m as u64).collect(),
             SweepFamily::Ws => sweep::ws_tau_grid(&prepared, req.points.unwrap_or(6)),
         };
-        if !plan::kernels_enabled() {
-            let mut points = Vec::with_capacity(params.len());
-            for &param in &params {
-                let spec = match req.family {
-                    SweepFamily::Lru => PolicySpec::Lru {
-                        frames: param as usize,
-                    },
-                    SweepFamily::Ws => PolicySpec::Ws { tau: param },
-                };
-                let key = spec_key(&prepared, spec);
-                if let Some(metrics) = self.cache.lookup(key) {
-                    points.push(Point { param, metrics });
-                    continue;
-                }
-                let t0 = Instant::now();
-                match prepared.run_policy_cancellable(spec, &mut NullTracer, token) {
-                    Ok(metrics) => {
-                        self.cache.record_sim(t0.elapsed());
-                        self.cache.insert(key, metrics);
-                        points.push(Point { param, metrics });
-                    }
-                    Err(SimError::DeadlineExceeded { refs_done }) => {
-                        return JobOutcome::Err {
-                            kind: ErrorKind::DeadlineExceeded,
-                            detail: format!("deadline expired after {refs_done} references"),
-                        }
-                    }
-                    Err(other) => {
-                        return JobOutcome::Err {
-                            kind: ErrorKind::Pipeline,
-                            detail: other.to_string(),
-                        }
-                    }
-                }
-            }
-            return JobOutcome::SweepOk {
-                family: req.family,
-                points,
-            };
-        }
         let sweep_plan = SweepPlan::new(&self.cache, &prepared);
         let keep_going = || !token.should_stop();
         let expired = || JobOutcome::Err {

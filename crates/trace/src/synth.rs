@@ -8,6 +8,18 @@
 
 use crate::event::{Event, PageId, Trace};
 
+/// SplitMix64 increment (the golden-ratio constant).
+pub const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The SplitMix64 output mixer: a bijective 64-bit finalizer. The
+/// workspace's seeded decisions, content hashes and line checksums are
+/// all built on it.
+pub fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A tiny deterministic PRNG (SplitMix64).
 #[derive(Debug, Clone)]
 pub struct SplitMix64 {
@@ -22,11 +34,8 @@ impl SplitMix64 {
 
     /// Next raw 64-bit value.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.state = self.state.wrapping_add(GAMMA);
+        mix(self.state)
     }
 
     /// Uniform value in `0..bound` (`bound > 0`).

@@ -26,6 +26,10 @@
 //! - [`observe`] — zero-cost-when-disabled event tracing: policies emit
 //!   typed [`SimEvent`]s (grants, hold-overs, evictions, lock breaks,
 //!   degradations) that [`run`] forwards to a [`Tracer`].
+//! - [`jsonl`] — the one JSON-lines codec: string escaping, the strict
+//!   flat-object reader, checksummed-line framing and the sealed-file
+//!   walker shared by traces, progress frames, the result cache, serve
+//!   and bench artifacts.
 //! - [`stats`] — a [`MetricsRegistry`] tracer that folds the event
 //!   stream into counters and streaming histograms (fault
 //!   inter-arrival, per-PI grant levels, lock dwell, occupancy).
@@ -47,10 +51,10 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod cancel;
 pub mod curve;
 pub mod error;
 pub mod fleet;
+pub mod jsonl;
 pub mod metrics;
 pub mod observe;
 pub mod policy;
@@ -60,7 +64,7 @@ pub mod sim;
 pub mod stack;
 pub mod stats;
 
-pub use cancel::CancelToken;
+pub use cdmm_trace::cancel::CancelToken;
 pub use curve::{LruCurve, WsCurve};
 pub use error::SimError;
 pub use fleet::{
@@ -69,8 +73,8 @@ pub use fleet::{
 };
 pub use metrics::{ExecStats, Metrics};
 pub use observe::{
-    EventLog, Histogram, HistogramRecorder, JsonlSink, NullTracer, SharedSink, SharedTracer,
-    SimEvent, Span, Tee, TimedEvent, Tracer,
+    EventLog, Histogram, JsonlSink, NullTracer, SharedSink, SharedTracer, SimEvent, Span, Tee,
+    TimedEvent, Tracer,
 };
 pub use policy::Policy;
 pub use progress::{

@@ -20,20 +20,23 @@
 //! - [`NullTracer`] — the disabled default.
 //! - [`EventLog`] — a bounded ring buffer of [`TimedEvent`]s (oldest
 //!   events drop first) for in-process inspection and tests.
-//! - [`JsonlSink`] — append-only, checksummed JSON-lines files, the
-//!   same self-validating line discipline as the sweep result cache.
-//! - [`HistogramRecorder`] — inter-fault-distance and resident-set-size
-//!   histograms plus per-priority-index `ALLOCATE` outcome counts.
+//! - [`JsonlSink`] — append-only files of sealed JSON lines, the
+//!   framing the sweep result cache and progress frames share
+//!   ([`crate::jsonl`]).
+//!
+//! For distributions (inter-fault distance, resident set, per-PI
+//! grants) attach a [`crate::MetricsRegistry`].
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use std::fmt::Write as _;
 use std::fs;
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use cdmm_trace::PageId;
+
+use crate::jsonl::{self, Damage};
 
 /// What happened to an `ALLOCATE` directive (Figure 6's three exits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -380,36 +383,6 @@ impl Tracer for EventLog {
     }
 }
 
-// ---------------------------------------------------------------------
-// Checksummed JSONL encoding.
-//
-// Same line discipline as the sweep result cache: every line carries a
-// SplitMix64-folded checksum over its own payload, so a damaged file is
-// detected line by line. (The mixer is duplicated here rather than
-// imported because the cache lives in cdmm-core, which depends on this
-// crate.)
-
-/// SplitMix64 increment (golden-ratio constant).
-const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// The SplitMix64 output mixer.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Checksum over a serialized line's payload prefix.
-pub(crate) fn line_checksum(payload: &str) -> u64 {
-    let mut h = mix(0x7ACE_0BE5_EED5_11E5);
-    for chunk in payload.as_bytes().chunks(8) {
-        let mut buf = [0u8; 8];
-        buf[..chunk.len()].copy_from_slice(chunk);
-        h = mix(h ^ u64::from_le_bytes(buf).wrapping_mul(GAMMA));
-    }
-    mix(h ^ payload.len() as u64)
-}
-
 /// Renders the event-specific JSON fields (no surrounding braces).
 fn event_fields(event: &SimEvent) -> String {
     let kind = event.kind();
@@ -480,39 +453,23 @@ fn event_fields(event: &SimEvent) -> String {
     }
 }
 
-/// Serializes one timed event as a self-checksummed JSON line (without
-/// the trailing newline).
+/// Serializes one timed event as a sealed JSON line (without the
+/// trailing newline); see [`jsonl::seal`].
 pub fn encode_event_line(at: u64, event: &SimEvent) -> String {
-    let payload = format!("{{\"v\":1,\"at\":{at},{}", event_fields(event));
-    let c = line_checksum(&payload);
-    format!("{payload},\"c\":\"{c:016x}\"}}")
+    jsonl::seal(&format!("{{\"v\":1,\"at\":{at},{}", event_fields(event)))
 }
 
-/// Verifies one line produced by [`encode_event_line`]: version tag
-/// present and checksum matching the payload prefix.
+/// Verifies one line produced by [`encode_event_line`]: checksum
+/// matching and the event-line prefix present.
 pub fn validate_event_line(line: &str) -> bool {
-    let Some(cut) = line.rfind(",\"c\":\"") else {
-        return false;
-    };
-    let payload = &line[..cut];
-    if !payload.starts_with("{\"v\":1,\"at\":") {
-        return false;
-    }
-    let tail = &line[cut + 6..];
-    let Some(hex) = tail.strip_suffix("\"}") else {
-        return false;
-    };
-    match u64::from_str_radix(hex, 16) {
-        Ok(stored) => stored == line_checksum(payload),
-        Err(_) => false,
-    }
+    jsonl::open(line).is_some_and(|payload| payload.starts_with("{\"v\":1,\"at\":"))
 }
 
-/// A tracer appending checksummed JSON lines to a file.
+/// A tracer appending sealed JSON lines ([`jsonl::seal`]) to a file.
 ///
-/// The file uses the same self-validating line discipline as the sweep
-/// result cache (`target/cdmm-cache/results.jsonl`), so the same
-/// tooling can audit both. Writes are buffered; the driver's end-of-run
+/// The sweep result cache (`target/cdmm-cache/results.jsonl`) and
+/// progress files use the same framing, so [`jsonl::walk_file`] audits
+/// all three. Writes are buffered; the driver's end-of-run
 /// [`Tracer::flush`] (or dropping the sink) flushes them.
 #[derive(Debug)]
 pub struct JsonlSink {
@@ -599,22 +556,7 @@ impl JsonlSink {
     /// Recomputes the [`JsonlSink::stream_checksum`] of a trace file on
     /// disk, validating every line on the way.
     pub fn file_stream_checksum(path: &Path) -> Result<u64, String> {
-        let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let mut stream = 0u64;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if !validate_event_line(line) {
-                return Err(format!(
-                    "{}:{}: damaged trace line: {line}",
-                    path.display(),
-                    i + 1
-                ));
-            }
-            stream = mix(stream ^ line_checksum(line));
-        }
-        Ok(stream)
+        jsonl::walk_file(path, validate_event_line, TRACE_LINE).map(|w| w.stream)
     }
 
     /// True when the event limit cut the stream short.
@@ -625,55 +567,18 @@ impl JsonlSink {
     /// Validates every line of a trace file; returns the number of
     /// valid lines or a description of the first damaged one.
     pub fn validate_file(path: &Path) -> Result<u64, String> {
-        let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let mut n = 0;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if !validate_event_line(line) {
-                return Err(format!(
-                    "{}:{}: damaged trace line: {line}",
-                    path.display(),
-                    i + 1
-                ));
-            }
-            n += 1;
-        }
-        Ok(n)
+        jsonl::walk_file(path, validate_event_line, TRACE_LINE).map(|w| w.valid)
     }
 
-    /// Reads a trace file back, tolerating damage only as a *torn tail*
-    /// — the suffix a crash mid-append leaves behind. Returns
-    /// `(valid_lines, torn_lines)` where `torn_lines` counts the
-    /// trailing damaged run that was skipped. A damaged line followed by
-    /// a valid one is mid-file corruption, not a torn tail, and is an
-    /// error: the checksummed reader must never silently resurrect a
-    /// file whose interior rotted.
+    /// Reads a trace file back, tolerating damage only as a torn tail
+    /// (see [`Damage::TornTail`]). Returns `(valid_lines, torn_lines)`.
     pub fn recover_file(path: &Path) -> Result<(u64, u64), String> {
-        let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let mut valid = 0u64;
-        let mut torn = 0u64;
-        for (i, line) in text.lines().enumerate() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            if validate_event_line(line) {
-                if torn > 0 {
-                    return Err(format!(
-                        "{}:{}: valid line after {torn} damaged line(s): mid-file corruption",
-                        path.display(),
-                        i + 1
-                    ));
-                }
-                valid += 1;
-            } else {
-                torn += 1;
-            }
-        }
-        Ok((valid, torn))
+        jsonl::walk_file(path, validate_event_line, Damage::TornTail).map(|w| (w.valid, w.torn))
     }
 }
+
+/// Strict walking of a trace file: the first damaged line is an error.
+const TRACE_LINE: Damage = Damage::Reject("trace line");
 
 impl Tracer for JsonlSink {
     fn wants_refs(&self) -> bool {
@@ -692,7 +597,7 @@ impl Tracer for JsonlSink {
         // handling would put a Result on the hot path for nothing.
         let line = encode_event_line(at, event);
         let _ = writeln!(self.out, "{line}");
-        self.stream = mix(self.stream ^ line_checksum(&line));
+        self.stream = jsonl::fold(self.stream, &line);
         self.written += 1;
     }
 
@@ -817,139 +722,6 @@ impl Histogram {
             .enumerate()
             .filter(|(_, &c)| c > 0)
             .map(|(i, &c)| (Self::bucket_lo(i), Self::bucket_hi(i), c))
-    }
-}
-
-/// Per-priority-index `ALLOCATE` outcome counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PiCounts {
-    /// Requests granted at this PI.
-    pub granted: u64,
-    /// Directives held over with this innermost PI.
-    pub held_over: u64,
-    /// Swap requests raised with this innermost PI.
-    pub swap_needed: u64,
-}
-
-/// A tracer aggregating distribution-level statistics:
-/// inter-fault distance, resident-set size over time (per reference,
-/// so it opts into [`Tracer::wants_refs`]), and per-priority-index
-/// `ALLOCATE` grant / hold-over / swap counts.
-#[derive(Debug, Clone, Default)]
-pub struct HistogramRecorder {
-    inter_fault: Histogram,
-    resident: Histogram,
-    pi: BTreeMap<u32, PiCounts>,
-    last_fault: Option<u64>,
-    refs: u64,
-    faults: u64,
-    evictions: u64,
-}
-
-impl HistogramRecorder {
-    /// An empty recorder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Distance (in references) between consecutive faults.
-    pub fn inter_fault(&self) -> &Histogram {
-        &self.inter_fault
-    }
-
-    /// Resident-set size sampled at every reference.
-    pub fn resident(&self) -> &Histogram {
-        &self.resident
-    }
-
-    /// `ALLOCATE` outcome counts keyed by priority index.
-    pub fn pi_counts(&self) -> &BTreeMap<u32, PiCounts> {
-        &self.pi
-    }
-
-    /// References observed.
-    pub fn refs(&self) -> u64 {
-        self.refs
-    }
-
-    /// Faults observed.
-    pub fn faults(&self) -> u64 {
-        self.faults
-    }
-
-    /// Evictions observed.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// Renders a plain-text summary of all three distributions.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "refs {}  faults {}  evictions {}  mean resident {:.2} (peak {})",
-            self.refs,
-            self.faults,
-            self.evictions,
-            self.resident.mean(),
-            self.resident.max()
-        );
-        let _ = writeln!(
-            out,
-            "inter-fault distance (mean {:.1}, max {}):",
-            self.inter_fault.mean(),
-            self.inter_fault.max()
-        );
-        for (lo, hi, c) in self.inter_fault.nonzero_buckets() {
-            let _ = writeln!(out, "  {lo:>8}..={hi:<10} {c:>8}");
-        }
-        let _ = writeln!(out, "resident-set size:");
-        for (lo, hi, c) in self.resident.nonzero_buckets() {
-            let _ = writeln!(out, "  {lo:>8}..={hi:<10} {c:>8}");
-        }
-        if !self.pi.is_empty() {
-            let _ = writeln!(out, "ALLOCATE outcomes by priority index:");
-            for (pi, c) in &self.pi {
-                let _ = writeln!(
-                    out,
-                    "  PI {pi}: granted {:>6}  held over {:>4}  swap needed {:>4}",
-                    c.granted, c.held_over, c.swap_needed
-                );
-            }
-        }
-        out
-    }
-}
-
-impl Tracer for HistogramRecorder {
-    fn wants_refs(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, at: u64, event: &SimEvent) {
-        match event {
-            SimEvent::Ref { resident, .. } => {
-                self.refs += 1;
-                self.resident.record(u64::from(*resident));
-            }
-            SimEvent::Fault { .. } => {
-                self.faults += 1;
-                if let Some(prev) = self.last_fault {
-                    self.inter_fault.record(at.saturating_sub(prev));
-                }
-                self.last_fault = Some(at);
-            }
-            SimEvent::Evict { .. } => self.evictions += 1,
-            SimEvent::Alloc { pi, decision, .. } => {
-                let c = self.pi.entry(*pi).or_default();
-                match decision {
-                    AllocDecision::Granted => c.granted += 1,
-                    AllocDecision::HeldOver => c.held_over += 1,
-                    AllocDecision::SwapNeeded => c.swap_needed += 1,
-                }
-            }
-            _ => {}
-        }
     }
 }
 
@@ -1403,69 +1175,6 @@ mod tests {
         assert!(sink.truncated());
         assert_eq!(JsonlSink::validate_file(&path), Ok(2));
         let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn histogram_recorder_aggregates_events() {
-        let mut r = HistogramRecorder::new();
-        assert!(r.wants_refs());
-        r.record(
-            1,
-            &SimEvent::Ref {
-                page: PageId(0),
-                resident: 1,
-                fault: true,
-            },
-        );
-        r.record(
-            1,
-            &SimEvent::Fault {
-                page: PageId(0),
-                resident: 1,
-            },
-        );
-        r.record(
-            9,
-            &SimEvent::Fault {
-                page: PageId(1),
-                resident: 2,
-            },
-        );
-        r.record(9, &SimEvent::Evict { page: PageId(0) });
-        r.record(
-            9,
-            &SimEvent::Alloc {
-                pi: 2,
-                pages: 10,
-                decision: AllocDecision::Granted,
-            },
-        );
-        r.record(
-            9,
-            &SimEvent::Alloc {
-                pi: 2,
-                pages: 0,
-                decision: AllocDecision::HeldOver,
-            },
-        );
-        assert_eq!(r.faults(), 2);
-        assert_eq!(r.refs(), 1);
-        assert_eq!(r.evictions(), 1);
-        // One inter-fault gap of 8 references.
-        assert_eq!(r.inter_fault().count(), 1);
-        assert_eq!(r.inter_fault().bucket_count(4), 1);
-        let c = r.pi_counts().get(&2).copied().expect("PI 2 counted");
-        assert_eq!(
-            c,
-            PiCounts {
-                granted: 1,
-                held_over: 1,
-                swap_needed: 0
-            }
-        );
-        let text = r.render();
-        assert!(text.contains("PI 2"));
-        assert!(text.contains("inter-fault"));
     }
 
     #[test]

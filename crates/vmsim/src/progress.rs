@@ -10,8 +10,8 @@
 //! deterministic core. A slow exporter can never perturb results; at
 //! worst its frames are stale.
 //!
-//! Frames use the same self-checksummed JSON-line discipline as the
-//! event traces and the sweep cache, under their own schema tag
+//! Frames are sealed JSON lines ([`crate::jsonl`]), like the event
+//! traces and the sweep cache, under their own schema tag
 //! ([`PROGRESS_SCHEMA`]) so tooling can tell a progress file from an
 //! event trace at the first line.
 
@@ -23,7 +23,8 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::observe::{line_checksum, Histogram};
+use crate::jsonl;
+use crate::observe::Histogram;
 
 /// Schema tag carried by every progress frame.
 pub const PROGRESS_SCHEMA: &str = "cdmm-progress/1";
@@ -178,57 +179,33 @@ impl ProgressFrame {
     }
 }
 
-/// Serializes one progress frame as a self-checksummed JSON line
-/// (without the trailing newline).
+/// Serializes one progress frame as a sealed JSON line (without the
+/// trailing newline); see [`jsonl::seal`].
 pub fn encode_progress_line(f: &ProgressFrame) -> String {
-    let payload = format!(
+    jsonl::seal(&format!(
         "{{\"v\":1,\"schema\":\"{PROGRESS_SCHEMA}\",\"at_ms\":{},\"done\":{},\"total\":{},\
          \"refs\":{},\"refs_per_sec\":{},\"eta_ms\":{},\"queued\":{},\"p50_ms\":{},\"p99_ms\":{}",
         f.at_ms, f.done, f.total, f.refs, f.refs_per_sec, f.eta_ms, f.queued, f.p50_ms, f.p99_ms
-    );
-    let c = line_checksum(&payload);
-    format!("{payload},\"c\":\"{c:016x}\"}}")
+    ))
 }
 
-/// Verifies one line produced by [`encode_progress_line`]: schema tag
-/// present and checksum matching the payload prefix.
+/// Verifies one line produced by [`encode_progress_line`]: checksum
+/// matching and the schema tag present.
 pub fn validate_progress_line(line: &str) -> bool {
-    let Some(cut) = line.rfind(",\"c\":\"") else {
-        return false;
-    };
-    let payload = &line[..cut];
-    if !payload.starts_with(&format!("{{\"v\":1,\"schema\":\"{PROGRESS_SCHEMA}\"")) {
-        return false;
-    }
-    let tail = &line[cut + 6..];
-    let Some(hex) = tail.strip_suffix("\"}") else {
-        return false;
-    };
-    match u64::from_str_radix(hex, 16) {
-        Ok(stored) => stored == line_checksum(payload),
-        Err(_) => false,
-    }
+    jsonl::open(line).is_some_and(|payload| {
+        payload.starts_with(&format!("{{\"v\":1,\"schema\":\"{PROGRESS_SCHEMA}\""))
+    })
 }
 
 /// Validates every frame of a progress file; returns the number of
 /// valid frames or a description of the first damaged one.
 pub fn validate_progress_file(path: &Path) -> Result<u64, String> {
-    let text = fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-    let mut n = 0;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if !validate_progress_line(line) {
-            return Err(format!(
-                "{}:{}: damaged progress frame: {line}",
-                path.display(),
-                i + 1
-            ));
-        }
-        n += 1;
-    }
-    Ok(n)
+    jsonl::walk_file(
+        path,
+        validate_progress_line,
+        jsonl::Damage::Reject("progress frame"),
+    )
+    .map(|w| w.valid)
 }
 
 /// A periodic progress exporter: samples shared [`ProgressCounters`] on

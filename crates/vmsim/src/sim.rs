@@ -4,11 +4,11 @@
 
 use cdmm_trace::{EventRef, EventSource, RunRef};
 
-use crate::cancel::CancelToken;
 use crate::error::SimError;
 use crate::metrics::Metrics;
 use crate::observe::{SimEvent, Tracer};
 use crate::policy::Policy;
+use crate::CancelToken;
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

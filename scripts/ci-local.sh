@@ -88,7 +88,7 @@ step env CDMM_WALL_ADVISORY=1 cargo run --release -q -p cdmm-bench \
     --progress-out target/fleet-observe/fleet-progress.jsonl
 
 # lint
-step cargo clippy --all-targets -- -D warnings
+step cargo clippy --workspace --all-targets -- -D warnings
 step cargo fmt --all -- --check
 step env RUSTFLAGS="-D deprecated" cargo check --workspace --all-targets
 
