@@ -24,7 +24,7 @@ fn main() {
 
     let field = by_name("FIELD", Scale::Small).expect("known workload");
     run("trace_generation_field_small", SAMPLES, || {
-        cdmm_trace::trace_program(&field.source, PageGeometry::PAPER).expect("traces")
+        cdmm_trace::trace_program_compressed(&field.source, PageGeometry::PAPER).expect("traces")
     });
 
     let main = by_name("MAIN", Scale::Small).expect("known workload");

@@ -107,7 +107,9 @@ fn instrument_cmd(path: &str) -> Result<(), String> {
 
 fn trace_cmd(path: &str) -> Result<(), String> {
     let src = read_source(path)?;
-    let trace = cdmm_trace::trace_program(&src, PageGeometry::PAPER).map_err(|e| e.to_string())?;
+    let trace = cdmm_trace::trace_program_compressed(&src, PageGeometry::PAPER)
+        .map_err(|e| e.to_string())?
+        .to_trace();
     let stats = TraceStats::of(&trace, Some(1_000));
     println!("references:      {}", stats.refs);
     println!("distinct pages:  {}", stats.distinct_pages);

@@ -4,13 +4,11 @@
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use cdmm_lang::LangError;
+use cdmm_lang::{LangError, Program, Span, Stmt, SymbolTable};
 use cdmm_locality::{
     analyze_program_with_mode, instrument, Analysis, InsertOptions, PageGeometry, SizerMode,
 };
-use cdmm_trace::{
-    trace_program_compressed_cancellable, CancelToken, CompressedTrace, InterpError, Trace,
-};
+use cdmm_trace::{CancelToken, CompressedTrace, InterpError, Interpreter, MemoryLayout, Trace};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::clock::Clock;
 use cdmm_vmsim::policy::fifo::Fifo;
@@ -57,40 +55,45 @@ pub enum PipelineError {
     Lang(LangError),
     /// Trace-generation failure.
     Interp(InterpError),
-    /// Cross-trace validation failure: instrumentation changed the
-    /// observable reference string.
+    /// Instrumentation-transparency failure: the instrumented program
+    /// is not the original plus directives.
     Validate(ValidateError),
 }
 
-/// Details of a plain/instrumented trace misalignment.
+/// Where instrumentation changed the program.
 ///
 /// Inserting directives must be behavior-preserving: the instrumented
-/// program has to emit exactly the reference string of the original.
-/// This used to be a `debug_assert!`; corrupted instrumentation must be
-/// rejected in release builds too, so it is now a first-class error.
+/// program has to make exactly the references of the original.
+/// Directives emit no references and change no state, so `prepare`
+/// checks this on the syntax tree before it interprets anything: the
+/// re-parsed instrumented program with its directives removed must
+/// equal the original with its directives removed. A failure is an
+/// error in release builds too.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ValidateError {
-    /// References in the plain trace.
-    pub plain_refs: u64,
-    /// References in the instrumented trace.
-    pub cd_refs: u64,
-    /// Position of the first diverging reference, when both strings
-    /// have the same length but different content.
-    pub first_divergence: Option<u64>,
+    /// The first construct that differs: `"PROGRAM or PARAMETER"` (the
+    /// header, which carries no location), `"DIMENSION"` or
+    /// `"statement"`.
+    pub construct: &'static str,
+    /// Its line in the original source; `None` when the original has
+    /// no such construct there or the construct carries no location.
+    pub source_line: Option<u32>,
+    /// Its line in the instrumented source, `None` likewise.
+    pub instrumented_line: Option<u32>,
 }
 
 impl fmt::Display for ValidateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.first_divergence {
-            Some(i) => write!(
-                f,
-                "instrumentation changed the reference string at position {i}"
-            ),
-            None => write!(
-                f,
-                "instrumentation changed the reference count: {} plain vs {} instrumented",
-                self.plain_refs, self.cd_refs
-            ),
+        write!(
+            f,
+            "instrumentation changed the program: first differing {}",
+            self.construct
+        )?;
+        match (self.source_line, self.instrumented_line) {
+            (Some(a), Some(b)) => write!(f, " at line {a} (line {b} of the instrumented source)"),
+            (Some(a), None) => write!(f, " at line {a} is missing from the instrumented source"),
+            (None, Some(b)) => write!(f, " at line {b} of the instrumented source is new"),
+            (None, None) => Ok(()),
         }
     }
 }
@@ -115,16 +118,16 @@ pub struct Prepared {
     analysis: Analysis,
     /// Source text after directive insertion (what produced `cd_trace`).
     instrumented_source: String,
-    /// Trace of the uninstrumented program (what LRU/WS/OPT see),
-    /// stored run-length-compressed; the simulator streams it directly.
+    /// Reference string of the uninstrumented program (what LRU/WS/OPT
+    /// see): `cd_trace` with its directives dropped, stored
+    /// run-length-compressed; the simulator streams it directly.
     plain_trace: CompressedTrace,
     /// Trace of the instrumented program (directive events embedded).
     cd_trace: CompressedTrace,
-    /// Flat decompressions of the two traces, decoded on first use and
-    /// shared across clones — random-access consumers (chaos tenants,
-    /// the directive fuzzer) stop paying a fresh O(references) decode
-    /// per call.
-    plain_flat: Arc<OnceLock<Trace>>,
+    /// Flat decompression of `cd_trace`, decoded on first use and shared
+    /// across clones — the directive fuzzer behind chaos tenants needs
+    /// random access and stops paying a fresh O(references) decode per
+    /// call.
     cd_flat: Arc<OnceLock<Trace>>,
     config: PipelineConfig,
     /// Content hash of everything that determines simulation results:
@@ -145,13 +148,18 @@ pub fn prepare(
 
 /// [`prepare`] under a cooperative [`CancelToken`].
 ///
+/// Only the instrumented program is interpreted; the plain trace is its
+/// trace with the directives dropped. That is sound because the
+/// instrumented program is first checked to be the original plus
+/// directives ([`ValidateError`]).
+///
 /// Trace generation dominates prepare time — a pathological inline
-/// source can demand billions of interpreter events — so the
+/// source can demand billions of interpreter steps — so the
 /// interpreter polls the token every
-/// [`cdmm_trace::interp::POLL_INTERVAL`] emitted events and aborts with
-/// [`InterpError::Cancelled`] (surfaced as [`PipelineError::Interp`])
-/// when a deadline expires mid-trace. An uncancelled run returns
-/// exactly what [`prepare`] would.
+/// [`cdmm_trace::interp::POLL_INTERVAL`] emitted events or `DO`
+/// iterations and aborts with [`InterpError::Cancelled`] (surfaced as
+/// [`PipelineError::Interp`]) when a deadline expires mid-trace. An
+/// uncancelled run returns exactly what [`prepare`] would.
 pub fn prepare_cancellable(
     name: &str,
     source: &str,
@@ -160,13 +168,14 @@ pub fn prepare_cancellable(
 ) -> Result<Prepared, PipelineError> {
     let analysis = analyze_program_with_mode(source, config.geometry, config.sizer_mode)
         .map_err(PipelineError::Lang)?;
-    let instrumented = instrument(&analysis, config.insert);
-    let instrumented_src = cdmm_lang::to_source(&instrumented);
-    let plain_trace = trace_program_compressed_cancellable(source, config.geometry, token)
+    let instrumented_src = cdmm_lang::to_source(&instrument(&analysis, config.insert));
+    let (program, symbols) = check_instrumented(&analysis.program, &instrumented_src)?;
+    let layout = MemoryLayout::new(&symbols, config.geometry);
+    let (cd_trace, _) = Interpreter::new(&program, &symbols, layout)
+        .with_cancel(token.clone())
+        .run()
         .map_err(PipelineError::Interp)?;
-    let cd_trace = trace_program_compressed_cancellable(&instrumented_src, config.geometry, token)
-        .map_err(PipelineError::Interp)?;
-    check_alignment(&plain_trace, &cd_trace).map_err(PipelineError::Validate)?;
+    let plain_trace = cd_trace.without_directives();
     let fingerprint = content_fingerprint(source, &plain_trace, &cd_trace, &config);
     Ok(Prepared {
         name: name.to_string(),
@@ -174,7 +183,6 @@ pub fn prepare_cancellable(
         instrumented_source: instrumented_src,
         plain_trace,
         cd_trace,
-        plain_flat: Arc::new(OnceLock::new()),
         cd_flat: Arc::new(OnceLock::new()),
         config,
         fingerprint,
@@ -207,30 +215,61 @@ fn content_fingerprint(
     h.finish()
 }
 
-/// Verifies that directives did not change the observable reference
-/// string (the paper's instrumentation-transparency requirement).
-fn check_alignment(plain: &CompressedTrace, cd: &CompressedTrace) -> Result<(), ValidateError> {
-    let plain_refs = plain.ref_count();
-    let cd_refs = cd.ref_count();
-    if plain_refs != cd_refs {
-        return Err(ValidateError {
-            plain_refs,
-            cd_refs,
-            first_divergence: None,
-        });
+/// Parses and checks the instrumented source and verifies that it is
+/// `original` plus directives — the paper's instrumentation-transparency
+/// requirement, checked in O(statements) before anything runs. Also
+/// catches any drift between the pretty-printer and the parser.
+fn check_instrumented(
+    original: &Program,
+    instrumented_src: &str,
+) -> Result<(Program, SymbolTable), PipelineError> {
+    // The original parsed, so a front-end failure here is the printer's
+    // fault; it is reported as the trace stage's front-end error.
+    let lang = |e| PipelineError::Interp(InterpError::Lang(e));
+    let mut program = cdmm_lang::parse(instrumented_src).map_err(lang)?;
+    let symbols = cdmm_lang::analyze(&mut program).map_err(lang)?;
+    let (a, b) = (original.without_directives(), program.without_directives());
+    if a == b {
+        return Ok((program, symbols));
     }
-    if let Some(i) = plain
-        .iter_refs()
-        .zip(cd.iter_refs())
-        .position(|(a, b)| a != b)
-    {
-        return Err(ValidateError {
-            plain_refs,
-            cd_refs,
-            first_divergence: Some(i as u64),
-        });
+    let line = |span: Option<Span>| span.map(|s| s.line).filter(|&l| l > 0);
+    let at = |construct, x: Option<Span>, y: Option<Span>| {
+        PipelineError::Validate(ValidateError {
+            construct,
+            source_line: line(x),
+            instrumented_line: line(y),
+        })
+    };
+    if (&a.name, &a.params) != (&b.name, &b.params) {
+        return Err(at("PROGRAM or PARAMETER", None, None));
     }
-    Ok(())
+    let arrays = a.arrays.len().max(b.arrays.len());
+    if let Some(i) = (0..arrays).find(|&i| a.arrays.get(i) != b.arrays.get(i)) {
+        let decl_loc = |p: &Program| p.arrays.get(i).map(|d| d.loc.0);
+        return Err(at("DIMENSION", decl_loc(&a), decl_loc(&b)));
+    }
+    let (x, y) = first_difference(&a.body, &b.body).unwrap_or_default();
+    Err(at("statement", x, y))
+}
+
+/// Where the first pair of statements that differ between two statement
+/// lists sits in each (`None` on a side that ran out), followed into
+/// compound statements of the same kind down to the innermost differing
+/// one; `None` when the lists are equal.
+fn first_difference(a: &[Stmt], b: &[Stmt]) -> Option<(Option<Span>, Option<Span>)> {
+    (0..a.len().max(b.len())).find_map(|i| match (a.get(i), b.get(i)) {
+        (Some(x), Some(y)) if x == y => None,
+        (Some(x), Some(y)) => {
+            let inner = if std::mem::discriminant(x) == std::mem::discriminant(y) {
+                let pairs = x.bodies().into_iter().zip(y.bodies());
+                pairs.filter_map(|(p, q)| first_difference(p, q)).next()
+            } else {
+                None
+            };
+            Some(inner.unwrap_or((Some(x.loc()), Some(y.loc()))))
+        }
+        (x, y) => Some((x.map(Stmt::loc), y.map(Stmt::loc))),
+    })
 }
 
 /// A policy choice expressed as plain data, so callers (the facade,
@@ -334,9 +373,8 @@ impl Prepared {
         &self.analysis
     }
 
-    /// The uninstrumented trace (page references only), compressed.
-    /// [`Prepared::plain_trace_flat`] serves consumers that need random
-    /// access.
+    /// The uninstrumented trace (page references only), compressed:
+    /// the instrumented trace with its directives dropped.
     pub fn plain_trace(&self) -> &CompressedTrace {
         &self.plain_trace
     }
@@ -346,15 +384,9 @@ impl Prepared {
         &self.cd_trace
     }
 
-    /// The uninstrumented trace as a flat event vector, decompressed on
-    /// first use and memoized (clones share the decode). Prefer the
-    /// compressed [`Prepared::plain_trace`] wherever streaming suffices.
-    pub fn plain_trace_flat(&self) -> &Trace {
-        self.plain_flat.get_or_init(|| self.plain_trace.to_trace())
-    }
-
     /// The instrumented trace as a flat event vector, decompressed on
-    /// first use and memoized (clones share the decode).
+    /// first use and memoized (clones share the decode). Prefer the
+    /// compressed [`Prepared::cd_trace`] wherever streaming suffices.
     pub fn cd_trace_flat(&self) -> &Trace {
         self.cd_flat.get_or_init(|| self.cd_trace.to_trace())
     }
@@ -529,12 +561,33 @@ mod tests {
 
     #[test]
     fn traces_align_between_plain_and_instrumented() {
-        for name in ["MAIN", "FDJAC", "CONDUCT"] {
-            let p = prepared(name);
-            let a: Vec<_> = p.plain_trace().iter_refs().collect();
-            let b: Vec<_> = p.cd_trace().iter_refs().collect();
-            assert_eq!(a, b, "{name}: directives changed the references");
+        use cdmm_trace::trace_program_compressed;
+        for w in cdmm_workloads::all(Scale::Small) {
+            let name = w.name;
+            let p = prepare(name, &w.source, PipelineConfig::default()).unwrap();
+            // Interpreting the plain program directly is the oracle for
+            // the plain trace `prepare` derives.
+            let oracle = trace_program_compressed(&w.source, PageGeometry::PAPER).unwrap();
+            assert_eq!(p.plain_trace().ops(), oracle.ops(), "{name}: plain ops");
+            assert_eq!(p.plain_trace().ref_count(), oracle.ref_count(), "{name}");
+            assert_eq!(p.virtual_pages(), oracle.virtual_pages(), "{name}");
+            assert!(
+                p.plain_trace().iter_refs().eq(p.cd_trace().iter_refs()),
+                "{name}: directives changed the references"
+            );
             assert!(p.cd_trace().directive_count() > 0, "{name}: no directives");
+        }
+    }
+
+    #[test]
+    fn directives_in_the_source_stay_out_of_the_plain_trace() {
+        let plain = prepared("MAIN");
+        let with_dirs = plain.instrumented_source().to_string();
+        let p = prepare("MAIN", &with_dirs, PipelineConfig::default()).unwrap();
+        assert_eq!(p.plain_trace().directive_count(), 0);
+        assert_eq!(p.plain_trace(), plain.plain_trace());
+        for spec in [PolicySpec::Lru { frames: 4 }, PolicySpec::Lru { frames: 8 }] {
+            assert_eq!(p.run_policy(spec), plain.run_policy(spec), "{spec:?}");
         }
     }
 
@@ -594,28 +647,64 @@ mod tests {
         assert!(matches!(err, Err(PipelineError::Lang(_))));
     }
 
+    /// Runs the transparency check on `edit` applied to the
+    /// instrumented text of a small two-array program.
+    fn check_edited(edit: impl Fn(&str) -> String) -> Result<(), PipelineError> {
+        let src = "PROGRAM T\nPARAMETER (N = 64)\nDIMENSION A(N,N), B(N)\n\
+                   DO 20 J = 1, N\nDO 10 I = 1, N\nA(I,J) = B(I) + 1.0\n\
+                   10 CONTINUE\n20 CONTINUE\nB(1) = A(1,1)\nEND";
+        let cfg = PipelineConfig::default();
+        let analysis = analyze_program_with_mode(src, cfg.geometry, cfg.sizer_mode).unwrap();
+        let text = cdmm_lang::to_source(&instrument(&analysis, cfg.insert));
+        let edited = edit(&text);
+        check_instrumented(&analysis.program, &edited).map(|_| ())
+    }
+
+    fn replace(text: &str, from: &str, to: &str) -> String {
+        assert!(text.contains(from), "{from:?} not in\n{text}");
+        text.replacen(from, to, 1)
+    }
+
+    fn drop_lines(text: &str, containing: &str) -> String {
+        let kept: String = text
+            .lines()
+            .filter(|l| !l.contains(containing))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_ne!(kept, text, "no line contains {containing:?}");
+        kept
+    }
+
     #[test]
-    fn alignment_check_rejects_divergent_traces() {
-        use cdmm_trace::{Event, PageId, Trace};
-        let compress =
-            |events: Vec<Event>| CompressedTrace::from_trace(&Trace::from_events(events));
-        let plain = compress(vec![Event::Ref(PageId(0)), Event::Ref(PageId(1))]);
-        let same = plain.clone();
-        assert_eq!(check_alignment(&plain, &same), Ok(()));
+    fn alignment_check_rejects_divergent_programs() {
+        assert_eq!(check_edited(str::to_string), Ok(()));
+        // Directives may move, appear or vanish: they make no references.
+        assert_eq!(check_edited(|t| drop_lines(t, "!MD$")), Ok(()));
 
-        let short = compress(vec![Event::Ref(PageId(0))]);
-        let err = check_alignment(&plain, &short).unwrap_err();
-        assert_eq!(err.plain_refs, 2);
-        assert_eq!(err.cd_refs, 1);
-        assert_eq!(err.first_divergence, None);
-        assert!(err.to_string().contains("reference count"));
-
-        let swapped = compress(vec![Event::Ref(PageId(1)), Event::Ref(PageId(0))]);
-        let err = check_alignment(&plain, &swapped).unwrap_err();
-        assert_eq!(err.first_divergence, Some(0));
-        assert!(PipelineError::Validate(err)
+        let validate = |r: Result<(), PipelineError>| match r {
+            Err(PipelineError::Validate(e)) => e,
+            other => panic!("expected a validation error, got {other:?}"),
+        };
+        let changed = validate(check_edited(|t| replace(t, "B(I)", "B(J)")));
+        assert_eq!(changed.construct, "statement");
+        assert_eq!(changed.source_line, Some(6), "{changed}");
+        assert!(changed.instrumented_line.is_some());
+        assert!(PipelineError::Validate(changed)
             .to_string()
-            .contains("validate"));
+            .starts_with("validate: instrumentation changed the program"));
+
+        let dropped = validate(check_edited(|t| drop_lines(t, "B(1) =")));
+        assert_eq!(dropped.construct, "statement");
+        assert_eq!(dropped.source_line, Some(9));
+        assert_eq!(dropped.instrumented_line, None);
+        assert!(dropped.to_string().contains("missing"), "{dropped}");
+
+        let reordered = validate(check_edited(|t| {
+            replace(t, "DIMENSION A(N,N), B(N)", "DIMENSION B(N), A(N,N)")
+        }));
+        assert_eq!(reordered.construct, "DIMENSION");
+        assert_eq!(reordered.source_line, Some(3));
+        assert_eq!(reordered.instrumented_line, Some(3));
     }
 
     const SPECS: [PolicySpec; 5] = [
@@ -634,12 +723,8 @@ mod tests {
     fn policy_specs_match_the_oracle() {
         let p = prepared("MAIN");
         for spec in SPECS {
-            let flat = if spec.uses_directives() {
-                p.cd_trace_flat()
-            } else {
-                p.plain_trace_flat()
-            };
-            let oracle = cdmm_vmsim::simulate(flat, p.build_policy(spec).as_mut(), p.sim_config());
+            let flat = p.trace_for(spec).to_trace();
+            let oracle = cdmm_vmsim::simulate(&flat, p.build_policy(spec).as_mut(), p.sim_config());
             assert_eq!(p.run_policy(spec), oracle, "{spec:?}");
         }
         assert!(p.policy_label(SPECS[0]).starts_with("CD"));
@@ -708,6 +793,21 @@ mod tests {
             }
             other => panic!("expected cancellation, got {other}"),
         }
+
+        // No array references at all: only the DO iteration count
+        // reaches the interpreter's poll cadence.
+        let spin = "PROGRAM T\nS = 0.0\nDO 10 I = 1, 2000000000\nS = S + 1.0\n10 CONTINUE\nEND";
+        let token = CancelToken::with_deadline(Duration::ZERO);
+        let started = std::time::Instant::now();
+        let err = prepare_cancellable("SPIN", spin, PipelineConfig::default(), &token);
+        assert!(
+            matches!(
+                err,
+                Err(PipelineError::Interp(InterpError::Cancelled { .. }))
+            ),
+            "{err:?}"
+        );
+        assert!(started.elapsed() < Duration::from_millis(500));
     }
 
     #[test]

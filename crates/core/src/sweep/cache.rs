@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use cdmm_trace::synth::{mix, GAMMA};
-use cdmm_trace::{COp, CompressedTrace, Event, Trace};
+use cdmm_trace::{COp, CompressedTrace, Event};
 use cdmm_vmsim::jsonl::{self, get_str, get_u64};
 use cdmm_vmsim::observe::{SharedTracer, SimEvent};
 use cdmm_vmsim::{ExecStats, LruCurve, Metrics, WsCurve};
@@ -151,22 +151,11 @@ fn fingerprint_event(h: &mut KeyHasher, e: &Event) {
     }
 }
 
-/// Absorbs a full trace — reference string *and* directive stream — into
-/// a hasher. Two traces differing in any event produce different keys.
-pub fn fingerprint_trace(h: &mut KeyHasher, t: &Trace) {
-    h.write_u64(t.virtual_pages as u64);
-    h.write_u64(t.events.len() as u64);
-    for e in &t.events {
-        fingerprint_event(h, e);
-    }
-}
-
 /// Absorbs a compressed trace by its run/directive ops — O(ops), not
 /// O(references). The builder is deterministic, so two compressed
-/// traces encode the same event stream iff their ops are identical;
-/// hashing ops therefore distinguishes content exactly like
-/// [`fingerprint_trace`] (under a distinct tag, so the two forms never
-/// collide with each other).
+/// traces encode the same event stream iff their ops are identical,
+/// so hashing ops distinguishes any two reference strings or directive
+/// streams.
 pub fn fingerprint_compressed(h: &mut KeyHasher, t: &CompressedTrace) {
     h.write_u64(t.virtual_pages() as u64);
     h.write_u64(t.op_count() as u64);
@@ -430,11 +419,6 @@ impl ResultCache {
                     .join("cdmm-cache")
             });
         Self::at_dir(&dir)
-    }
-
-    /// Is any storage (memory or disk) behind this cache?
-    pub fn is_enabled(&self) -> bool {
-        self.store.is_some()
     }
 
     /// Number of entries currently held.

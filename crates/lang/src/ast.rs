@@ -51,6 +51,40 @@ impl Program {
     pub fn param(&self, name: &str) -> Option<i64> {
         self.params.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
+
+    /// A copy of the program with every memory directive removed, at
+    /// any nesting depth. Directives are advisory, so two programs whose
+    /// copies compare equal make the same array references.
+    pub fn without_directives(&self) -> Program {
+        let mut program = self.clone();
+        strip_directives(&mut program.body);
+        program
+    }
+}
+
+fn strip_directives(stmts: &mut Vec<Stmt>) {
+    stmts.retain(|s| !matches!(s, Stmt::Directive { .. }));
+    for stmt in stmts {
+        match stmt {
+            Stmt::Do { body, .. } => strip_directives(body),
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => {
+                strip_directives(then_body);
+                strip_directives(else_body);
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Does any statement, at any depth, open a `DO` loop?
+pub fn contains_loop(stmts: &[Stmt]) -> bool {
+    stmts
+        .iter()
+        .any(|s| matches!(s, Stmt::Do { .. }) || s.bodies().into_iter().any(contains_loop))
 }
 
 /// One array declared in a `DIMENSION` statement.
@@ -146,6 +180,20 @@ pub enum Stmt {
 }
 
 impl Stmt {
+    /// The statement lists nested directly inside this statement: a
+    /// `DO` body, or an `IF`'s two branches (empty slices otherwise).
+    pub fn bodies(&self) -> [&[Stmt]; 2] {
+        match self {
+            Stmt::Do { body, .. } => [body, &[]],
+            Stmt::If {
+                then_body,
+                else_body,
+                ..
+            } => [then_body, else_body],
+            _ => [&[], &[]],
+        }
+    }
+
     /// Returns the source location of this statement.
     pub fn loc(&self) -> Span {
         match self {
@@ -440,5 +488,23 @@ mod tests {
         assert!(p.param("M").is_none());
         assert!(p.array("A").is_some());
         assert!(p.array("B").is_none());
+    }
+
+    #[test]
+    fn without_directives_strips_every_level() {
+        let with = crate::parse(
+            "PROGRAM T\nDIMENSION V(8)\n!MD$ ALLOCATE ((1,2))\nDO 10 I = 1, 8\n\
+             !MD$ LOCK (1,V)\nIF (I .GT. 2) THEN\n!MD$ UNLOCK (V)\nV(I) = 1.0\nENDIF\n\
+             10 CONTINUE\nEND",
+        )
+        .unwrap();
+        let without = crate::parse(
+            "PROGRAM T\nDIMENSION V(8)\nDO 10 I = 1, 8\nIF (I .GT. 2) THEN\nV(I) = 1.0\n\
+             ENDIF\n10 CONTINUE\nEND",
+        )
+        .unwrap();
+        assert_ne!(with, without);
+        assert_eq!(with.without_directives(), without);
+        assert_eq!(without.without_directives(), without);
     }
 }

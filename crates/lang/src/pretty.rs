@@ -6,7 +6,7 @@
 
 use std::fmt::Write as _;
 
-use crate::ast::{BinOp, Directive, Expr, Program, RelOp, Stmt, UnOp};
+use crate::ast::{BinOp, Expr, Program, RelOp, Stmt, UnOp};
 
 /// Renders a program as source text.
 ///
@@ -137,21 +137,9 @@ fn print_stmt(out: &mut String, stmt: &Stmt, depth: usize) {
         }
         Stmt::Directive { dir, .. } => {
             indent(out, depth);
-            let _ = writeln!(out, "!MD$ {}", directive_source(dir));
+            let _ = writeln!(out, "!MD$ {dir}");
         }
     }
-}
-
-/// Renders a directive in the paper's syntax (usable after `!MD$`).
-pub fn directive_source(dir: &Directive) -> String {
-    dir.to_string()
-}
-
-/// Renders an expression (exposed for diagnostics and reports).
-pub fn expr_source(expr: &Expr) -> String {
-    let mut s = String::new();
-    print_expr(&mut s, expr);
-    s
 }
 
 /// Precedence levels for parenthesization.

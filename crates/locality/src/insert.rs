@@ -12,7 +12,7 @@
 //! priority index). A matching `UNLOCK` listing everything locked inside
 //! an outermost loop is inserted right after it.
 
-use cdmm_lang::ast::{AllocArg, Directive, Loc, Program, Stmt};
+use cdmm_lang::ast::{contains_loop, AllocArg, Directive, Loc, Program, Stmt};
 
 use crate::loop_tree::{LoopId, LoopTree};
 use crate::size::SizeReport;
@@ -220,23 +220,9 @@ impl Ctx<'_> {
     }
 }
 
-fn contains_loop(body: &[Stmt]) -> bool {
-    body.iter().any(|s| match s {
-        Stmt::Do { .. } => true,
-        Stmt::If {
-            then_body,
-            else_body,
-            ..
-        } => contains_loop(then_body) || contains_loop(else_body),
-        _ => false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    #[allow(unused_imports)]
-    use crate::analyze_program_with_mode;
     use crate::{analyze_program, PageGeometry};
     use cdmm_lang::to_source;
 
@@ -324,16 +310,7 @@ END
                             assert!(w[0].pages >= w[1].pages, "X must not increase");
                         }
                     }
-                    Stmt::Do { body, .. } => walk(body, found),
-                    Stmt::If {
-                        then_body,
-                        else_body,
-                        ..
-                    } => {
-                        walk(then_body, found);
-                        walk(else_body, found);
-                    }
-                    _ => {}
+                    other => other.bodies().into_iter().for_each(|b| walk(b, found)),
                 }
             }
         }

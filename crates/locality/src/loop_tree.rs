@@ -2,7 +2,7 @@
 //! inside it — parameters `Δ` (nest depth), `Λ` (reference level), `X`
 //! (index variables) and `Θ` (order of reference) from Section 2.
 
-use cdmm_lang::ast::{Expr, Program, Stmt};
+use cdmm_lang::ast::{contains_loop, Expr, Program, Stmt};
 use cdmm_lang::BinOp;
 
 /// Identifies one loop within a [`LoopTree`] (preorder index).
@@ -291,16 +291,12 @@ fn collect_stmts(
                 collect_expr_refs(target, refs_here);
                 collect_expr_refs(value, refs_here);
             }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-                ..
-            } => {
+            Stmt::If { cond, .. } => {
                 collect_expr_refs(cond, refs_here);
                 // Conditional bodies stay attributed to the same loop level.
-                collect_stmts(then_body, parent, lambda, tree, refs_here);
-                collect_stmts(else_body, parent, lambda, tree, refs_here);
+                for branch in stmt.bodies() {
+                    collect_stmts(branch, parent, lambda, tree, refs_here);
+                }
             }
             Stmt::Continue { .. } | Stmt::Directive { .. } => {}
         }
@@ -357,18 +353,6 @@ fn refs_before_first_loop(body: &[Stmt]) -> Vec<String> {
         }
     }
     out
-}
-
-fn contains_loop(body: &[Stmt]) -> bool {
-    body.iter().any(|s| match s {
-        Stmt::Do { .. } => true,
-        Stmt::If {
-            then_body,
-            else_body,
-            ..
-        } => contains_loop(then_body) || contains_loop(else_body),
-        _ => false,
-    })
 }
 
 fn const_trip_count(lo: &Expr, hi: &Expr, step: Option<&Expr>) -> Option<u64> {

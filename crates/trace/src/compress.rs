@@ -120,6 +120,18 @@ impl CompressedTrace {
         seen.len() as u32
     }
 
+    /// The same reference string with every directive dropped: the
+    /// references replayed into a fresh [`TraceBuilder`], so runs that a
+    /// directive split coalesce again. On an instrumented trace this is
+    /// op for op the trace of the uninstrumented program.
+    pub fn without_directives(&self) -> CompressedTrace {
+        let mut b = TraceBuilder::new();
+        for page in self.iter_refs() {
+            b.push_ref(page);
+        }
+        b.finish(self.virtual_pages)
+    }
+
     /// Iterates over the decoded page references, in order.
     pub fn iter_refs(&self) -> RefIter<'_> {
         RefIter {
@@ -368,17 +380,6 @@ impl TraceBuilder {
     /// Creates an empty builder.
     pub fn new() -> TraceBuilder {
         TraceBuilder::default()
-    }
-
-    /// Logical events pushed so far (references + directives), for
-    /// runaway-trace caps.
-    pub fn logical_len(&self) -> u64 {
-        self.refs
-            + self
-                .ops
-                .iter()
-                .filter(|op| matches!(op, COp::Dir(_)))
-                .count() as u64
     }
 
     fn flush(&mut self) {
@@ -654,6 +655,19 @@ mod tests {
         let c = roundtrip(&t);
         assert_eq!(c.op_count(), 4);
         assert_eq!(c.directive_count(), 2);
+
+        // Dropping the directives re-joins the split stride-1 run.
+        let plain = c.without_directives();
+        assert_eq!(plain.directive_count(), 0);
+        assert_eq!(
+            plain.ops(),
+            &[COp::Run {
+                start: 0,
+                stride: 1,
+                len: 4
+            }]
+        );
+        assert_eq!(plain.virtual_pages(), c.virtual_pages());
     }
 
     #[test]
@@ -672,7 +686,6 @@ mod tests {
         for p in t.refs() {
             b.push_ref(p);
         }
-        assert_eq!(b.logical_len(), Trace::ref_count(&t));
         let c = b.finish(t.virtual_pages);
         assert_eq!(c, CompressedTrace::from_trace(&t));
     }

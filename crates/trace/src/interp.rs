@@ -16,14 +16,16 @@ use cdmm_lang::LangError;
 
 use crate::cancel::CancelToken;
 use crate::compress::{CompressedTrace, TraceBuilder};
-use crate::event::{Event, Trace};
+use crate::event::Event;
 use crate::layout::MemoryLayout;
 
-/// How many emitted events pass between [`CancelToken`] polls. A poll
-/// reads the monotonic clock when a deadline is set, which would
-/// dominate the ~nanoseconds it takes to emit one reference; every 4096
-/// events the cost vanishes while a deadline still bounds `prepare`
-/// within a fraction of a millisecond of trace generation.
+/// How many emitted events — and, separately, how many `DO` iterations —
+/// pass between [`CancelToken`] polls. A poll reads the monotonic clock
+/// when a deadline is set, which would dominate the ~nanoseconds it
+/// takes to emit one reference; every 4096 the cost vanishes while a
+/// deadline still bounds `prepare` within a fraction of a millisecond
+/// of trace generation. Counting iterations too means a loop that
+/// touches no array still sees the deadline.
 pub const POLL_INTERVAL: u64 = 4096;
 
 /// Interpreter limits and switches.
@@ -45,7 +47,8 @@ impl Default for InterpConfig {
 /// Anything that can go wrong while generating a trace.
 #[derive(Debug, Clone, PartialEq)]
 pub enum InterpError {
-    /// Front-end failure (when entering through [`crate::trace_program`]).
+    /// Front-end failure (when entering through
+    /// [`crate::trace_program_compressed`]).
     Lang(LangError),
     /// A subscript fell outside the declared extents.
     OutOfBounds {
@@ -123,6 +126,8 @@ pub struct Interpreter<'a> {
     /// the flat `Vec<Event>` only exists if a caller asks for it.
     builder: TraceBuilder,
     emitted: u64,
+    /// `DO` iterations started, for the poll cadence only.
+    iterations: u64,
     cancel: Option<CancelToken>,
 }
 
@@ -147,6 +152,7 @@ impl<'a> Interpreter<'a> {
             arrays,
             builder: TraceBuilder::new(),
             emitted: 0,
+            iterations: 0,
             cancel: None,
         }
     }
@@ -158,34 +164,19 @@ impl<'a> Interpreter<'a> {
     }
 
     /// Attaches a cancellation token, polled every [`POLL_INTERVAL`]
-    /// emitted events so a deadline bounds trace generation too.
+    /// emitted events and every [`POLL_INTERVAL`] `DO` iterations, so a
+    /// deadline bounds trace generation too.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
     }
 
-    /// Runs the program to completion and returns the trace.
-    pub fn run(self) -> Result<Trace, InterpError> {
-        Ok(self.run_with_state()?.0)
-    }
-
-    /// Runs the program and also returns its final variable state, for
-    /// validating that the traced computations are numerically sensible.
-    pub fn run_with_state(self) -> Result<(Trace, ProgramState), InterpError> {
-        let (compressed, state) = self.run_compressed_with_state()?;
-        Ok((compressed.to_trace(), state))
-    }
-
-    /// Runs the program and returns the compressed trace — the native
-    /// output; [`Self::run`] is this plus a decompression.
-    pub fn run_compressed(self) -> Result<CompressedTrace, InterpError> {
-        Ok(self.run_compressed_with_state()?.0)
-    }
-
-    /// [`Self::run_compressed`] with the final variable state.
-    pub fn run_compressed_with_state(
-        mut self,
-    ) -> Result<(CompressedTrace, ProgramState), InterpError> {
+    /// Runs the program to completion and returns its compressed trace
+    /// together with its final variable state (for checking that the
+    /// traced computation is numerically sensible). Callers that need
+    /// random access flatten the trace with
+    /// [`CompressedTrace::to_trace`].
+    pub fn run(mut self) -> Result<(CompressedTrace, ProgramState), InterpError> {
         let body = &self.program.body;
         self.exec_block(body)?;
         let trace = self.builder.finish(self.layout.total_pages());
@@ -205,16 +196,20 @@ impl<'a> Interpreter<'a> {
             });
         }
         if self.emitted.is_multiple_of(POLL_INTERVAL) {
-            if let Some(token) = &self.cancel {
-                if token.should_stop() {
-                    return Err(InterpError::Cancelled {
-                        events_done: self.emitted,
-                    });
-                }
-            }
+            self.poll()?;
         }
         self.emitted += 1;
         Ok(())
+    }
+
+    /// Fails with [`InterpError::Cancelled`] once the token says stop.
+    fn poll(&self) -> Result<(), InterpError> {
+        match &self.cancel {
+            Some(token) if token.should_stop() => Err(InterpError::Cancelled {
+                events_done: self.emitted,
+            }),
+            _ => Ok(()),
+        }
     }
 
     fn push(&mut self, ev: Event) -> Result<(), InterpError> {
@@ -249,10 +244,17 @@ impl<'a> Interpreter<'a> {
                 if step == 0 {
                     return Err(InterpError::ZeroStep);
                 }
-                // FORTRAN-77 trip count semantics.
+                // FORTRAN-77 trip count semantics, in i128 so that no
+                // pair of i64 bounds can overflow the count or the
+                // control variable.
+                let (lo, hi, step) = (lo as i128, hi as i128, step as i128);
                 let trips = (hi - lo + step) / step;
                 let mut v = lo;
                 for _ in 0..trips.max(0) {
+                    if self.iterations.is_multiple_of(POLL_INTERVAL) {
+                        self.poll()?;
+                    }
+                    self.iterations += 1;
                     self.scalars.insert(var.clone(), v as f64);
                     self.exec_block(body)?;
                     v += step;
@@ -269,12 +271,7 @@ impl<'a> Interpreter<'a> {
                         Ok(())
                     }
                     Expr::Element { array, indices, .. } => {
-                        let (row, col) = self.eval_subscripts(array, indices)?;
-                        self.touch(array, row, col)?;
-                        let linear = self
-                            .layout
-                            .linear_of(array, row, col)
-                            .expect("touch already validated bounds");
+                        let linear = self.touch(array, indices)?;
                         let slot = self
                             .arrays
                             .get_mut(array)
@@ -317,34 +314,25 @@ impl<'a> Interpreter<'a> {
         }
     }
 
-    /// Records a reference to element `(row, col)` of `array`.
-    fn touch(&mut self, array: &str, row: i64, col: i64) -> Result<(), InterpError> {
-        match self.layout.page_of(array, row, col) {
-            Some(page) => {
-                self.charge()?;
-                self.builder.push_ref(page);
-                Ok(())
-            }
-            None => Err(InterpError::OutOfBounds {
-                array: array.to_string(),
-                row,
-                col,
-            }),
-        }
-    }
-
-    fn eval_subscripts(
-        &mut self,
-        array: &str,
-        indices: &'a [Expr],
-    ) -> Result<(i64, i64), InterpError> {
+    /// Evaluates the subscripts of an element of `array`, records the
+    /// reference and returns the element's storage offset.
+    fn touch(&mut self, array: &str, indices: &'a [Expr]) -> Result<usize, InterpError> {
         let row = self.eval_subscript(array, &indices[0])?;
-        let col = if indices.len() > 1 {
-            self.eval_subscript(array, &indices[1])?
-        } else {
-            1
+        let col = match indices.get(1) {
+            Some(index) => self.eval_subscript(array, index)?,
+            None => 1,
         };
-        Ok((row, col))
+        let (page, linear) =
+            self.layout
+                .locate(array, row, col)
+                .ok_or_else(|| InterpError::OutOfBounds {
+                    array: array.to_string(),
+                    row,
+                    col,
+                })?;
+        self.charge()?;
+        self.builder.push_ref(page);
+        Ok(linear)
     }
 
     fn eval_subscript(&mut self, array: &str, e: &'a Expr) -> Result<i64, InterpError> {
@@ -369,12 +357,7 @@ impl<'a> Interpreter<'a> {
             Expr::Real(v) => Ok(*v),
             Expr::Scalar(name) => Ok(self.scalars.get(name).copied().unwrap_or(0.0)),
             Expr::Element { array, indices, .. } => {
-                let (row, col) = self.eval_subscripts(array, indices)?;
-                self.touch(array, row, col)?;
-                let linear = self
-                    .layout
-                    .linear_of(array, row, col)
-                    .expect("touch already validated bounds");
+                let linear = self.touch(array, indices)?;
                 Ok(self.arrays[array][linear])
             }
             Expr::Call { name, args, .. } => self.eval_intrinsic(name, args),
@@ -434,85 +417,46 @@ impl<'a> Interpreter<'a> {
     }
 
     fn eval_intrinsic(&mut self, name: &str, args: &'a [Expr]) -> Result<f64, InterpError> {
-        let arity = |n: usize| -> Result<(), InterpError> {
-            if args.len() == n {
-                Ok(())
-            } else {
-                Err(InterpError::WrongArity {
-                    name: name.to_string(),
-                    got: args.len(),
-                })
-            }
+        let arity_ok = match name {
+            "ABS" | "SQRT" | "EXP" | "ALOG" | "SIN" | "COS" | "FLOAT" | "INT" => args.len() == 1,
+            "MOD" | "SIGN" => args.len() == 2,
+            "MIN" | "MAX" => args.len() >= 2,
+            _ => false,
         };
-        match name {
-            "ABS" => {
-                arity(1)?;
-                Ok(self.eval(&args[0])?.abs())
-            }
-            "SQRT" => {
-                arity(1)?;
-                Ok(self.eval(&args[0])?.abs().sqrt())
-            }
-            "EXP" => {
-                arity(1)?;
-                Ok(clamp_finite(self.eval(&args[0])?.min(700.0).exp()))
-            }
-            "ALOG" => {
-                arity(1)?;
-                let v = self.eval(&args[0])?.abs();
-                Ok(if v == 0.0 { 0.0 } else { v.ln() })
-            }
-            "SIN" => {
-                arity(1)?;
-                Ok(self.eval(&args[0])?.sin())
-            }
-            "COS" => {
-                arity(1)?;
-                Ok(self.eval(&args[0])?.cos())
-            }
-            "MOD" => {
-                arity(2)?;
-                let a = self.eval(&args[0])?;
-                let b = self.eval(&args[1])?;
-                Ok(if b == 0.0 { 0.0 } else { a % b })
-            }
-            "MIN" | "MAX" => {
-                if args.len() < 2 {
-                    return Err(InterpError::WrongArity {
-                        name: name.to_string(),
-                        got: args.len(),
-                    });
-                }
-                let mut acc = self.eval(&args[0])?;
-                for a in &args[1..] {
-                    let v = self.eval(a)?;
-                    acc = if name == "MIN" {
-                        acc.min(v)
-                    } else {
-                        acc.max(v)
-                    };
-                }
-                Ok(acc)
-            }
-            "FLOAT" => {
-                arity(1)?;
-                self.eval(&args[0])
-            }
-            "INT" => {
-                arity(1)?;
-                Ok(self.eval(&args[0])?.trunc())
-            }
-            "SIGN" => {
-                arity(2)?;
-                let a = self.eval(&args[0])?.abs();
-                let b = self.eval(&args[1])?;
-                Ok(if b < 0.0 { -a } else { a })
-            }
-            other => Err(InterpError::WrongArity {
-                name: other.to_string(),
+        if !arity_ok {
+            return Err(InterpError::WrongArity {
+                name: name.to_string(),
                 got: args.len(),
-            }),
+            });
         }
+        let a = self.eval(&args[0])?;
+        let b = match args.get(1) {
+            Some(e) => self.eval(e)?,
+            None => 0.0,
+        };
+        Ok(match name {
+            "ABS" => a.abs(),
+            "SQRT" => a.abs().sqrt(),
+            "EXP" => clamp_finite(a.min(700.0).exp()),
+            "ALOG" if a == 0.0 => 0.0,
+            "ALOG" => a.abs().ln(),
+            "SIN" => a.sin(),
+            "COS" => a.cos(),
+            "FLOAT" => a,
+            "INT" => a.trunc(),
+            "MOD" if b == 0.0 => 0.0,
+            "MOD" => a % b,
+            "SIGN" if b < 0.0 => -a.abs(),
+            "SIGN" => a.abs(),
+            _ => {
+                let pick = if name == "MIN" { f64::min } else { f64::max };
+                let mut acc = pick(a, b);
+                for e in &args[2..] {
+                    acc = pick(acc, self.eval(e)?);
+                }
+                acc
+            }
+        })
     }
 }
 
@@ -564,12 +508,26 @@ fn clamp_finite(v: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::PageId;
-    use crate::trace_program;
+    use crate::event::{PageId, Trace};
+    use crate::trace_program_compressed;
     use cdmm_locality::PageGeometry;
 
     fn trace(src: &str) -> Trace {
-        trace_program(src, PageGeometry::PAPER).unwrap_or_else(|e| panic!("{e}"))
+        trace_program_compressed(src, PageGeometry::PAPER)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .to_trace()
+    }
+
+    /// Parses and checks `src`, lets `setup` configure the interpreter
+    /// over it, and runs it.
+    fn run_with(
+        src: &str,
+        setup: impl FnOnce(Interpreter<'_>) -> Interpreter<'_>,
+    ) -> Result<(CompressedTrace, ProgramState), InterpError> {
+        let mut p = cdmm_lang::parse(src).unwrap();
+        let syms = cdmm_lang::analyze(&mut p).unwrap();
+        let layout = MemoryLayout::new(&syms, PageGeometry::PAPER);
+        setup(Interpreter::new(&p, &syms, layout)).run()
     }
 
     #[test]
@@ -658,7 +616,7 @@ mod tests {
 
     #[test]
     fn out_of_bounds_is_reported() {
-        let err = trace_program(
+        let err = trace_program_compressed(
             "PROGRAM T\nDIMENSION V(4)\nDO 10 I = 1, 5\nV(I) = 1.0\n10 CONTINUE\nEND",
             PageGeometry::PAPER,
         )
@@ -675,48 +633,57 @@ mod tests {
 
     #[test]
     fn event_limit_trips() {
-        let mut p = cdmm_lang::parse(
+        let err = run_with(
             "PROGRAM T\nDIMENSION V(4)\nDO 10 I = 1, 1000\nV(1) = 1.0\n10 CONTINUE\nEND",
+            |i| i.with_config(InterpConfig { max_events: 10 }),
         )
-        .unwrap();
-        let syms = cdmm_lang::analyze(&mut p).unwrap();
-        let layout = MemoryLayout::new(&syms, PageGeometry::PAPER);
-        let err = Interpreter::new(&p, &syms, layout)
-            .with_config(InterpConfig { max_events: 10 })
-            .run()
-            .unwrap_err();
+        .unwrap_err();
         assert_eq!(err, InterpError::EventLimit { limit: 10 });
     }
 
     #[test]
-    fn cancelled_token_stops_trace_generation_at_the_first_poll() {
-        let mut p = cdmm_lang::parse(
-            "PROGRAM T\nDIMENSION V(4)\nDO 10 I = 1, 1000\nV(1) = 1.0\n10 CONTINUE\nEND",
+    fn extreme_do_bounds_neither_overflow_nor_skip_the_loop() {
+        // hi - lo + step overflows i64 here; the loop must still run
+        // (and so hit the event cap) rather than wrap to zero trips.
+        for header in [
+            "DO 10 I = -9000000000000000000, 9000000000000000000",
+            "DO 10 I = 9000000000000000000, -9000000000000000000, -1",
+        ] {
+            let src = format!("PROGRAM T\nDIMENSION V(4)\n{header}\nV(1) = 1.0\n10 CONTINUE\nEND");
+            let err =
+                run_with(&src, |i| i.with_config(InterpConfig { max_events: 1000 })).unwrap_err();
+            assert_eq!(err, InterpError::EventLimit { limit: 1000 }, "{header}");
+        }
+        // Three trips (1, 4e18+1, 8e18+1); the next control value,
+        // 1.2e19+1, is past i64::MAX.
+        let (t, state) = run_with(
+            "PROGRAM T\nDIMENSION V(4)\n\
+             DO 10 I = 1, 9000000000000000000, 4000000000000000000\n\
+             V(1) = 1.0\n10 CONTINUE\nEND",
+            |i| i,
         )
         .unwrap();
-        let syms = cdmm_lang::analyze(&mut p).unwrap();
-        let layout = MemoryLayout::new(&syms, PageGeometry::PAPER);
+        assert_eq!(t.ref_count(), 3);
+        assert_eq!(state.scalar("I"), 1.2e19);
+    }
+
+    #[test]
+    fn cancelled_token_stops_trace_generation_at_the_first_poll() {
         let token = CancelToken::new();
         token.cancel();
-        let err = Interpreter::new(&p, &syms, layout)
-            .with_cancel(token)
-            .run()
-            .unwrap_err();
+        let err = run_with(
+            "PROGRAM T\nDIMENSION V(4)\nDO 10 I = 1, 1000\nV(1) = 1.0\n10 CONTINUE\nEND",
+            |i| i.with_cancel(token),
+        )
+        .unwrap_err();
         assert_eq!(err, InterpError::Cancelled { events_done: 0 });
     }
 
     #[test]
     fn idle_token_leaves_the_trace_unchanged() {
         let src = "PROGRAM T\nDIMENSION V(128)\nDO 10 I = 1, 128\nV(I) = 1.0\n10 CONTINUE\nEND";
-        let plain = trace(src);
-        let mut p = cdmm_lang::parse(src).unwrap();
-        let syms = cdmm_lang::analyze(&mut p).unwrap();
-        let layout = MemoryLayout::new(&syms, PageGeometry::PAPER);
-        let traced = Interpreter::new(&p, &syms, layout)
-            .with_cancel(CancelToken::new())
-            .run()
-            .unwrap();
-        assert_eq!(traced, plain);
+        let (traced, _) = run_with(src, |i| i.with_cancel(CancelToken::new())).unwrap();
+        assert_eq!(traced.to_trace(), trace(src));
     }
 
     #[test]
@@ -724,16 +691,11 @@ mod tests {
         use std::time::Duration;
         // ~10M references: far more than one poll interval, and far more
         // than a zero deadline allows.
-        let mut p = cdmm_lang::parse(
+        let err = run_with(
             "PROGRAM T\nDIMENSION V(64)\nDO 20 J = 1, 160000\nDO 10 I = 1, 64\nV(I) = 1.0\n10 CONTINUE\n20 CONTINUE\nEND",
+            |i| i.with_cancel(CancelToken::with_deadline(Duration::ZERO)),
         )
-        .unwrap();
-        let syms = cdmm_lang::analyze(&mut p).unwrap();
-        let layout = MemoryLayout::new(&syms, PageGeometry::PAPER);
-        let err = Interpreter::new(&p, &syms, layout)
-            .with_cancel(CancelToken::with_deadline(Duration::ZERO))
-            .run()
-            .unwrap_err();
+        .unwrap_err();
         match err {
             InterpError::Cancelled { events_done } => {
                 assert!(events_done < POLL_INTERVAL, "stopped at the first poll");
@@ -743,14 +705,40 @@ mod tests {
     }
 
     #[test]
+    fn expired_deadline_stops_a_loop_that_touches_no_array() {
+        use std::time::Duration;
+        // Two billion iterations and no reference: only the iteration
+        // count reaches the poll cadence.
+        let err = run_with(
+            "PROGRAM T\nS = 0.0\nDO 10 I = 1, 2000000000\nS = S + 1.0\n10 CONTINUE\nEND",
+            |i| i.with_cancel(CancelToken::with_deadline(Duration::ZERO)),
+        )
+        .unwrap_err();
+        assert_eq!(err, InterpError::Cancelled { events_done: 0 });
+    }
+
+    #[test]
     fn intrinsics_compute() {
-        let t = trace(
+        let (t, state) = run_with(
             "PROGRAM T\nDIMENSION V(8)\n\
              V(1) = SQRT(16.0)\nV(2) = ABS(-3.0)\nV(3) = MAX(1.0, 2.0, 7.0)\n\
              V(4) = MIN(5.0, 2.0)\nV(5) = MOD(7.0, 3.0)\nV(6) = SIGN(2.0, -1.0)\n\
              V(7) = INT(3.9)\nV(8) = ALOG(EXP(1.0))\nEND",
-        );
+            |i| i,
+        )
+        .unwrap();
         assert_eq!(t.ref_count(), 8);
+        let values = state.array("V").unwrap();
+        assert_eq!(values[..7], [4.0, 3.0, 7.0, 2.0, 1.0, -2.0, 3.0]);
+        assert!((values[7] - 1.0).abs() < 1e-12);
+        for (call, got) in [("SQRT(1.0, 2.0)", 2), ("MOD(1.0)", 1), ("MAX(1.0)", 1)] {
+            let src = format!("PROGRAM T\nX = {call}\nEND");
+            let err = run_with(&src, |i| i).unwrap_err();
+            assert!(
+                matches!(err, InterpError::WrongArity { got: g, .. } if g == got),
+                "{call}"
+            );
+        }
     }
 
     #[test]

@@ -90,27 +90,18 @@ impl MemoryLayout {
             .collect()
     }
 
-    /// Page of element `(row, col)` of `array` (both 1-based).
-    ///
-    /// Returns `None` for unknown arrays or out-of-bounds subscripts —
-    /// the interpreter turns that into a runtime error with context.
-    pub fn page_of(&self, array: &str, row: i64, col: i64) -> Option<PageId> {
+    /// The page holding element `(row, col)` of `array` (1-based,
+    /// column-major; pass `col = 1` for vectors) and the element's
+    /// 0-based linear offset within the array, or `None` when the array
+    /// is unknown or the subscripts are out of bounds.
+    pub fn locate(&self, array: &str, row: i64, col: i64) -> Option<(PageId, usize)> {
         let r = self.regions.get(array)?;
         if row < 1 || col < 1 || row as u64 > r.rows || col as u64 > r.cols {
             return None;
         }
         let linear = (col as u64 - 1) * r.rows + (row as u64 - 1);
         let page = r.base_page as u64 + linear / self.geometry.elems_per_page();
-        Some(PageId(page as u32))
-    }
-
-    /// Linear element offset within the array (0-based), for array storage.
-    pub fn linear_of(&self, array: &str, row: i64, col: i64) -> Option<usize> {
-        let r = self.regions.get(array)?;
-        if row < 1 || col < 1 || row as u64 > r.rows || col as u64 > r.cols {
-            return None;
-        }
-        Some(((col as u64 - 1) * r.rows + (row as u64 - 1)) as usize)
+        Some((PageId(page as u32), linear as usize))
     }
 }
 
@@ -142,37 +133,40 @@ mod tests {
     #[test]
     fn column_major_paging() {
         let l = layout("PROGRAM T\nPARAMETER (N = 64)\nDIMENSION A(N,N)\nEND");
+        let page_of = |a, r, c| l.locate(a, r, c).map(|(page, _)| page);
         // One column = exactly one page with 64 elements per page.
-        assert_eq!(l.page_of("A", 1, 1), Some(PageId(0)));
-        assert_eq!(l.page_of("A", 64, 1), Some(PageId(0)));
-        assert_eq!(l.page_of("A", 1, 2), Some(PageId(1)));
-        assert_eq!(l.page_of("A", 64, 64), Some(PageId(63)));
+        assert_eq!(page_of("A", 1, 1), Some(PageId(0)));
+        assert_eq!(page_of("A", 64, 1), Some(PageId(0)));
+        assert_eq!(page_of("A", 1, 2), Some(PageId(1)));
+        assert_eq!(page_of("A", 64, 64), Some(PageId(63)));
         // Walking a row strides across pages.
-        assert_eq!(l.page_of("A", 5, 10), Some(PageId(9)));
+        assert_eq!(page_of("A", 5, 10), Some(PageId(9)));
     }
 
     #[test]
     fn vector_paging_and_bounds() {
         let l = layout("PROGRAM T\nDIMENSION V(130)\nEND");
-        assert_eq!(l.page_of("V", 1, 1), Some(PageId(0)));
-        assert_eq!(l.page_of("V", 64, 1), Some(PageId(0)));
-        assert_eq!(l.page_of("V", 65, 1), Some(PageId(1)));
-        assert_eq!(l.page_of("V", 130, 1), Some(PageId(2)));
-        assert_eq!(l.page_of("V", 131, 1), None);
-        assert_eq!(l.page_of("V", 0, 1), None);
-        assert_eq!(l.page_of("V", -3, 1), None);
-        assert_eq!(l.page_of("W", 1, 1), None);
+        let page_of = |a, r, c| l.locate(a, r, c).map(|(page, _)| page);
+        assert_eq!(page_of("V", 1, 1), Some(PageId(0)));
+        assert_eq!(page_of("V", 64, 1), Some(PageId(0)));
+        assert_eq!(page_of("V", 65, 1), Some(PageId(1)));
+        assert_eq!(page_of("V", 130, 1), Some(PageId(2)));
+        assert_eq!(page_of("V", 131, 1), None);
+        assert_eq!(page_of("V", 0, 1), None);
+        assert_eq!(page_of("V", -3, 1), None);
+        assert_eq!(page_of("W", 1, 1), None);
     }
 
     #[test]
     fn linear_offsets_are_column_major() {
         let l = layout("PROGRAM T\nDIMENSION A(3,2)\nEND");
-        assert_eq!(l.linear_of("A", 1, 1), Some(0));
-        assert_eq!(l.linear_of("A", 2, 1), Some(1));
-        assert_eq!(l.linear_of("A", 3, 1), Some(2));
-        assert_eq!(l.linear_of("A", 1, 2), Some(3));
-        assert_eq!(l.linear_of("A", 3, 2), Some(5));
-        assert_eq!(l.linear_of("A", 4, 1), None);
+        let linear_of = |a, r, c| l.locate(a, r, c).map(|(_, linear)| linear);
+        assert_eq!(linear_of("A", 1, 1), Some(0));
+        assert_eq!(linear_of("A", 2, 1), Some(1));
+        assert_eq!(linear_of("A", 3, 1), Some(2));
+        assert_eq!(linear_of("A", 1, 2), Some(3));
+        assert_eq!(linear_of("A", 3, 2), Some(5));
+        assert_eq!(linear_of("A", 4, 1), None);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!
 //! ```
 //! use cdmm_locality::PageGeometry;
-//! use cdmm_trace::trace_program;
+//! use cdmm_trace::trace_program_compressed;
 //!
 //! let src = "
 //! PROGRAM DOT
@@ -43,7 +43,7 @@
 //! 10 CONTINUE
 //! END
 //! ";
-//! let trace = trace_program(src, PageGeometry::PAPER).unwrap();
+//! let trace = trace_program_compressed(src, PageGeometry::PAPER).unwrap();
 //! // 2 array references per iteration, 256 iterations.
 //! assert_eq!(trace.ref_count(), 512);
 //! ```
@@ -74,67 +74,29 @@ pub use validate::{DirectiveFuzzer, FaultKind, FuzzReport, Injection, Violation}
 
 use cdmm_locality::PageGeometry;
 
-/// Parses, checks, lays out and executes a program, returning its trace.
+/// Parses, checks, lays out and executes a program, returning its
+/// run-length-compressed trace (the interpreter streams references
+/// straight into a [`TraceBuilder`]; call [`CompressedTrace::to_trace`]
+/// for the flat form).
 ///
 /// Directives present in the source (e.g. inserted by
 /// [`cdmm_locality::instrument`]) become directive events in the trace.
-pub fn trace_program(src: &str, geometry: PageGeometry) -> Result<Trace, InterpError> {
-    Ok(trace_program_with_state(src, geometry)?.0)
-}
-
-/// [`trace_program`] in run-length-compressed form: the interpreter
-/// streams references straight into a [`TraceBuilder`], so the flat
-/// `Vec<Event>` is never materialized.
 pub fn trace_program_compressed(
     src: &str,
     geometry: PageGeometry,
 ) -> Result<CompressedTrace, InterpError> {
-    trace_program_compressed_cancellable(src, geometry, &CancelToken::new())
-}
-
-/// [`trace_program_compressed`] under a [`CancelToken`]: the
-/// interpreter polls the token every [`interp::POLL_INTERVAL`] emitted
-/// events and fails with [`InterpError::Cancelled`] when it fires, so a
-/// deadline bounds trace generation on huge inline sources instead of
-/// only kicking in once simulation starts.
-pub fn trace_program_compressed_cancellable(
-    src: &str,
-    geometry: PageGeometry,
-    token: &CancelToken,
-) -> Result<CompressedTrace, InterpError> {
-    interpret(src, geometry, |i| {
-        i.with_cancel(token.clone()).run_compressed()
-    })
+    Ok(trace_program_with_state(src, geometry)?.0)
 }
 
 /// Like [`trace_program_compressed`], but also returns the final
-/// variable state for numerical validation.
-pub fn trace_program_compressed_with_state(
-    src: &str,
-    geometry: PageGeometry,
-) -> Result<(CompressedTrace, ProgramState), InterpError> {
-    interpret(src, geometry, |i| i.run_compressed_with_state())
-}
-
-/// Like [`trace_program`], but also returns the final variable state so
-/// callers can check that the traced computation is numerically sound.
+/// variable state so callers can check that the traced computation is
+/// numerically sound.
 pub fn trace_program_with_state(
     src: &str,
     geometry: PageGeometry,
-) -> Result<(Trace, ProgramState), InterpError> {
-    let (trace, state) = trace_program_compressed_with_state(src, geometry)?;
-    Ok((trace.to_trace(), state))
-}
-
-/// Parses, checks and lays out `src`, then hands the interpreter over
-/// it to `run`.
-fn interpret<T>(
-    src: &str,
-    geometry: PageGeometry,
-    run: impl FnOnce(Interpreter<'_>) -> Result<T, InterpError>,
-) -> Result<T, InterpError> {
+) -> Result<(CompressedTrace, ProgramState), InterpError> {
     let mut program = cdmm_lang::parse(src).map_err(InterpError::Lang)?;
     let symbols = cdmm_lang::analyze(&mut program).map_err(InterpError::Lang)?;
     let layout = MemoryLayout::new(&symbols, geometry);
-    run(Interpreter::new(&program, &symbols, layout))
+    Interpreter::new(&program, &symbols, layout).run()
 }

@@ -110,6 +110,7 @@ pub fn by_name(name: &str, scale: Scale) -> Option<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cdmm_locality::PageGeometry;
 
     #[test]
     fn all_workloads_parse_and_check() {
@@ -120,6 +121,21 @@ mod tests {
                 cdmm_lang::analyze(&mut p)
                     .unwrap_or_else(|e| panic!("{} ({scale:?}): {e}", w.name));
             }
+        }
+    }
+
+    /// Tracing every program at small scale catches out-of-bounds
+    /// subscripts and runaway loops in the program text.
+    #[test]
+    fn every_workload_traces_in_bounds() {
+        for w in all(Scale::Small) {
+            let min_refs = match w.name {
+                "FDJAC" | "FIELD" | "INIT" | "HWSCRT" => 500,
+                _ => 1_000,
+            };
+            let t = cdmm_trace::trace_program_compressed(&w.source, PageGeometry::PAPER)
+                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+            assert!(t.ref_count() > min_refs, "{}", w.name);
         }
     }
 
@@ -146,7 +162,7 @@ mod tests {
 
     #[test]
     fn every_workload_has_loops_to_direct() {
-        use cdmm_locality::{analyze_program, PageGeometry};
+        use cdmm_locality::analyze_program;
         for w in all(Scale::Small) {
             let a = analyze_program(&w.source, PageGeometry::PAPER)
                 .unwrap_or_else(|e| panic!("{}: {e}", w.name));

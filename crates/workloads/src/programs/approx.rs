@@ -87,12 +87,6 @@ mod tests {
     use crate::programs::testutil;
 
     #[test]
-    fn traces_in_bounds() {
-        let t = testutil::trace_small(workload);
-        assert!(t.ref_count() > 1_000);
-    }
-
-    #[test]
     fn footprint() {
         // T: 96x32 = 3072 elems = 48 pages; G: 32x32 = 16 pages;
         // B: 1 page; Y: 96 elements = 2 pages.

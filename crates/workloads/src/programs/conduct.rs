@@ -73,12 +73,6 @@ mod tests {
     use crate::programs::testutil;
 
     #[test]
-    fn traces_in_bounds() {
-        let t = testutil::trace_small(workload);
-        assert!(t.ref_count() > 1_000);
-    }
-
-    #[test]
     fn footprint_matches_the_paper() {
         // The paper: "program CONDUCT has a total of 270 pages in its
         // virtual space". Three 76x76 grids give 273.

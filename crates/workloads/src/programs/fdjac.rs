@@ -76,12 +76,6 @@ mod tests {
     use crate::programs::testutil;
 
     #[test]
-    fn traces_in_bounds() {
-        let t = testutil::trace_small(workload);
-        assert!(t.ref_count() > 500);
-    }
-
-    #[test]
     fn jacobian_dominates_the_footprint() {
         let pages = testutil::paper_pages(workload);
         // FJAC is 64x64 = 64 pages; three vectors add one page each.

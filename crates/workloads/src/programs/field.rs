@@ -63,12 +63,6 @@ mod tests {
     use crate::programs::testutil;
 
     #[test]
-    fn traces_in_bounds() {
-        let t = testutil::trace_small(workload);
-        assert!(t.ref_count() > 500);
-    }
-
-    #[test]
     fn two_equal_grids() {
         // 60x60 = 3600 elements = 57 pages each.
         assert_eq!(testutil::paper_pages(workload), 2 * 57);

@@ -73,12 +73,6 @@ mod tests {
     use crate::programs::testutil;
 
     #[test]
-    fn traces_in_bounds() {
-        let t = testutil::trace_small(workload);
-        assert!(t.ref_count() > 500);
-    }
-
-    #[test]
     fn grid_is_69_pages() {
         // 66x66 = 4356 elements = 69 pages (paper: "HWSCRT has 69 pages
         // in its virtual space"); the two 66-element recurrence vectors

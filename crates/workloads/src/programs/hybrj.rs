@@ -115,12 +115,6 @@ mod tests {
     use crate::programs::testutil;
 
     #[test]
-    fn traces_in_bounds() {
-        let t = testutil::trace_small(workload);
-        assert!(t.ref_count() > 1_000);
-    }
-
-    #[test]
     fn footprint() {
         // FJAC 48x48 = 2304 elems = 36 pages + five 1-page vectors.
         assert_eq!(testutil::paper_pages(workload), 36 + 5);

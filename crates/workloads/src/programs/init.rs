@@ -76,12 +76,6 @@ mod tests {
     use crate::programs::testutil;
 
     #[test]
-    fn traces_in_bounds() {
-        let t = testutil::trace_small(workload);
-        assert!(t.ref_count() > 500);
-    }
-
-    #[test]
     fn three_grids() {
         // 48x48 = 2304 elements = 36 pages each.
         assert_eq!(testutil::paper_pages(workload), 3 * 36);

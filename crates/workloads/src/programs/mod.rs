@@ -15,14 +15,6 @@ pub mod tql;
 pub(crate) mod testutil {
     use crate::{Scale, Workload};
 
-    /// Traces a workload at small scale end-to-end: this catches
-    /// out-of-bounds subscripts and runaway loops in the program text.
-    pub fn trace_small(make: fn(Scale) -> Workload) -> cdmm_trace::Trace {
-        let w = make(Scale::Small);
-        cdmm_trace::trace_program(&w.source, cdmm_locality::PageGeometry::PAPER)
-            .unwrap_or_else(|e| panic!("{}: {e}", w.name))
-    }
-
     /// Virtual pages of the workload at paper scale.
     pub fn paper_pages(make: fn(Scale) -> Workload) -> u32 {
         let w = make(Scale::Paper);

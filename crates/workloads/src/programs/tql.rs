@@ -80,13 +80,6 @@ pub fn workload(scale: Scale) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::programs::testutil;
-
-    #[test]
-    fn traces_in_bounds() {
-        let t = testutil::trace_small(workload);
-        assert!(t.ref_count() > 1_000);
-    }
 
     #[test]
     fn table1_variants() {

@@ -274,10 +274,10 @@ fn generated_programs_trace_in_bounds() {
         if analyze(&mut program).is_err() {
             continue;
         }
-        match cdmm_trace::trace_program(&src, cdmm_locality::PageGeometry::PAPER) {
+        match cdmm_trace::trace_program_compressed(&src, cdmm_locality::PageGeometry::PAPER) {
             Ok(trace) => {
-                let v = trace.virtual_pages;
-                for p in trace.refs() {
+                let v = trace.virtual_pages();
+                for p in trace.iter_refs() {
                     assert!(p.0 < v, "page {} outside virtual space {v}", p.0);
                 }
             }
