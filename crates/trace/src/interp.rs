@@ -6,6 +6,34 @@
 //! variables live in registers and never touch the trace; the paper makes
 //! the same assumption ("all constants and instructions are permanently
 //! resident in memory").
+//!
+//! # Lowering
+//!
+//! [`Interpreter::run`] first lowers the checked [`Program`] once into a
+//! private slot-resolved tree, then evaluates that tree; the AST itself
+//! is never walked at run time. Lowering resolves everything that does
+//! not depend on program data:
+//!
+//! - every scalar name becomes an index into one `Vec<f64>` register
+//!   file, with the PARAMETER constants pre-seeded (a never-assigned
+//!   scalar reads 0.0);
+//! - every array name becomes an index into a `Vec` holding the array's
+//!   name, page region (base page, rows, columns) and values, so an
+//!   element reference is a bounds check, a multiply-add and a divide;
+//! - intrinsic names become an enum;
+//! - `CONTINUE` disappears, and a missing `DO` step becomes the
+//!   constant 1;
+//! - `ALLOCATE`/`LOCK`/`UNLOCK` become pre-built [`Event`]s, so the page
+//!   ranges of a `LOCK` inside a loop are computed once, not per
+//!   execution.
+//!
+//! Lowering never fails. An intrinsic called with the wrong number of
+//! arguments lowers to a node holding the [`InterpError::WrongArity`]
+//! it will raise, because the error belongs to the *execution* of the
+//! call: a bad call on a branch that is never taken is not an error.
+//! Evaluation order is the AST's: subscripts left to right, right-hand
+//! sides before their targets, both operands of `.AND.`/`.OR.` (so
+//! their references trace), and intrinsic arguments left to right.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -17,7 +45,7 @@ use cdmm_lang::LangError;
 use crate::cancel::CancelToken;
 use crate::compress::{CompressedTrace, TraceBuilder};
 use crate::event::Event;
-use crate::layout::MemoryLayout;
+use crate::layout::{ArrayRegion, MemoryLayout};
 
 /// How many emitted events — and, separately, how many `DO` iterations —
 /// pass between [`CancelToken`] polls. A poll reads the monotonic clock
@@ -120,39 +148,28 @@ pub struct Interpreter<'a> {
     program: &'a Program,
     layout: MemoryLayout,
     config: InterpConfig,
-    scalars: HashMap<String, f64>,
-    arrays: HashMap<String, Vec<f64>>,
-    /// References and directives stream into the compressed builder;
-    /// the flat `Vec<Event>` only exists if a caller asks for it.
-    builder: TraceBuilder,
-    emitted: u64,
-    /// `DO` iterations started, for the poll cadence only.
-    iterations: u64,
+    /// The declared arrays, zero-filled, in declaration order.
+    arrays: Vec<Array>,
     cancel: Option<CancelToken>,
 }
 
 impl<'a> Interpreter<'a> {
     /// Creates an interpreter over a checked program.
     pub fn new(program: &'a Program, symbols: &SymbolTable, layout: MemoryLayout) -> Self {
-        let mut arrays = HashMap::new();
-        for (name, shape) in &symbols.arrays {
-            arrays.insert(name.clone(), vec![0.0_f64; shape.elements() as usize]);
-        }
-        // PARAMETER constants are ordinary named values at run time.
-        let scalars: HashMap<String, f64> = program
-            .params
+        let arrays = symbols
+            .order
             .iter()
-            .map(|(n, v)| (n.clone(), *v as f64))
+            .map(|name| Array {
+                name: name.clone(),
+                region: layout.region(name).cloned().unwrap_or_default(),
+                data: vec![0.0; symbols.arrays[name].elements() as usize],
+            })
             .collect();
         Interpreter {
             program,
             layout,
             config: InterpConfig::default(),
-            scalars,
             arrays,
-            builder: TraceBuilder::new(),
-            emitted: 0,
-            iterations: 0,
             cancel: None,
         }
     }
@@ -176,23 +193,297 @@ impl<'a> Interpreter<'a> {
     /// traced computation is numerically sensible). Callers that need
     /// random access flatten the trace with
     /// [`CompressedTrace::to_trace`].
-    pub fn run(mut self) -> Result<(CompressedTrace, ProgramState), InterpError> {
-        let body = &self.program.body;
-        self.exec_block(body)?;
-        let trace = self.builder.finish(self.layout.total_pages());
-        let state = ProgramState {
-            scalars: self.scalars,
+    pub fn run(self) -> Result<(CompressedTrace, ProgramState), InterpError> {
+        let declared = self.arrays.len();
+        let mut lowering = Lowering {
+            layout: &self.layout,
+            names: Vec::new(),
+            values: Vec::new(),
             arrays: self.arrays,
         };
-        Ok((trace, state))
+        for (name, value) in &self.program.params {
+            let slot = lowering.scalar(name);
+            lowering.values[slot] = *value as f64;
+        }
+        let body = lowering.block(&self.program.body);
+        let mut machine = Machine {
+            scalars: lowering.values,
+            arrays: lowering.arrays,
+            elems_per_page: self.layout.geometry().elems_per_page(),
+            builder: TraceBuilder::new(),
+            emitted: 0,
+            iterations: 0,
+            max_events: self.config.max_events,
+            cancel: self.cancel,
+        };
+        machine.block(&body)?;
+        let trace = machine.builder.finish(self.layout.total_pages());
+        let mut arrays = machine.arrays;
+        arrays.truncate(declared);
+        let scalars = lowering
+            .names
+            .iter()
+            .map(|name| name.to_string())
+            .zip(machine.scalars)
+            .collect();
+        Ok((trace, ProgramState { scalars, arrays }))
+    }
+}
+
+/// One array at run time: its name (for errors and the final state),
+/// its page region and its column-major values.
+#[derive(Debug, Clone)]
+struct Array {
+    name: String,
+    region: ArrayRegion,
+    data: Vec<f64>,
+}
+
+/// An index into the machine's scalar register file.
+type Slot = usize;
+
+/// A lowered expression: names resolved, literals folded to `f64`.
+#[derive(Debug)]
+enum Ex {
+    Const(f64),
+    Scalar(Slot),
+    Element(Box<Elem>),
+    Call(Intrinsic, Box<[Ex]>),
+    /// A call that raises this error when evaluated (a wrong arity).
+    Fail(Box<InterpError>),
+    Bin(BinOp, Box<Ex>, Box<Ex>),
+    Neg(Box<Ex>),
+    Rel(RelOp, Box<Ex>, Box<Ex>),
+    And(Box<Ex>, Box<Ex>),
+    Or(Box<Ex>, Box<Ex>),
+    Not(Box<Ex>),
+}
+
+/// A lowered array element reference.
+#[derive(Debug)]
+struct Elem {
+    array: usize,
+    row: Ex,
+    /// `None` for vectors (column 1).
+    col: Option<Ex>,
+}
+
+/// A lowered statement (`CONTINUE` has no lowered form).
+#[derive(Debug)]
+enum St {
+    Do {
+        var: Slot,
+        lo: Ex,
+        hi: Ex,
+        step: Ex,
+        body: Vec<St>,
+    },
+    SetScalar(Slot, Ex),
+    SetElement(Elem, Ex),
+    If {
+        cond: Ex,
+        then_body: Vec<St>,
+        else_body: Vec<St>,
+    },
+    Directive(Event),
+}
+
+/// The twelve intrinsics of the language.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Intrinsic {
+    Abs,
+    Sqrt,
+    Exp,
+    Alog,
+    Sin,
+    Cos,
+    Float,
+    Int,
+    Mod,
+    Sign,
+    Min,
+    Max,
+}
+
+impl Intrinsic {
+    /// The intrinsic `name` calls with `argc` arguments, or `None` for
+    /// an unknown name or a wrong arity.
+    fn resolve(name: &str, argc: usize) -> Option<Intrinsic> {
+        use Intrinsic::*;
+        let f = match name {
+            "ABS" => Abs,
+            "SQRT" => Sqrt,
+            "EXP" => Exp,
+            "ALOG" => Alog,
+            "SIN" => Sin,
+            "COS" => Cos,
+            "FLOAT" => Float,
+            "INT" => Int,
+            "MOD" => Mod,
+            "SIGN" => Sign,
+            "MIN" => Min,
+            "MAX" => Max,
+            _ => return None,
+        };
+        let arity_ok = match f {
+            Mod | Sign => argc == 2,
+            Min | Max => argc >= 2,
+            _ => argc == 1,
+        };
+        arity_ok.then_some(f)
+    }
+}
+
+/// The once-per-run pass from the checked AST to the lowered tree.
+struct Lowering<'p> {
+    layout: &'p MemoryLayout,
+    /// Scalar names by slot.
+    names: Vec<&'p str>,
+    /// Initial scalar values by slot (PARAMETERs, else 0.0).
+    values: Vec<f64>,
+    /// Declared arrays first, then any name only the body mentions.
+    arrays: Vec<Array>,
+}
+
+impl<'p> Lowering<'p> {
+    fn scalar(&mut self, name: &'p str) -> Slot {
+        if let Some(slot) = self.names.iter().position(|n| *n == name) {
+            return slot;
+        }
+        self.names.push(name);
+        self.values.push(0.0);
+        self.names.len() - 1
     }
 
+    /// An array the symbol table does not know (possible only for an
+    /// unchecked program) gets an empty region, so every reference to it
+    /// raises [`InterpError::OutOfBounds`] rather than panicking.
+    fn array(&mut self, name: &str) -> usize {
+        if let Some(index) = self.arrays.iter().position(|a| a.name == name) {
+            return index;
+        }
+        self.arrays.push(Array {
+            name: name.to_string(),
+            region: ArrayRegion::default(),
+            data: Vec::new(),
+        });
+        self.arrays.len() - 1
+    }
+
+    fn block(&mut self, stmts: &'p [Stmt]) -> Vec<St> {
+        stmts.iter().filter_map(|s| self.stmt(s)).collect()
+    }
+
+    fn stmt(&mut self, stmt: &'p Stmt) -> Option<St> {
+        Some(match stmt {
+            Stmt::Do {
+                var,
+                lo,
+                hi,
+                step,
+                body,
+                ..
+            } => St::Do {
+                var: self.scalar(var),
+                lo: self.expr(lo),
+                hi: self.expr(hi),
+                step: step.as_ref().map_or(Ex::Const(1.0), |s| self.expr(s)),
+                body: self.block(body),
+            },
+            Stmt::Assign { target, value, .. } => match target {
+                Expr::Scalar(name) => St::SetScalar(self.scalar(name), self.expr(value)),
+                Expr::Element { array, indices, .. } => {
+                    St::SetElement(self.element(array, indices), self.expr(value))
+                }
+                other => unreachable!("sema rejects target {other:?}"),
+            },
+            Stmt::If {
+                cond,
+                then_body,
+                else_body,
+                ..
+            } => St::If {
+                cond: self.expr(cond),
+                then_body: self.block(then_body),
+                else_body: self.block(else_body),
+            },
+            Stmt::Continue { .. } => return None,
+            Stmt::Directive { dir, .. } => St::Directive(match dir {
+                Directive::Allocate { args } => Event::Alloc(args.clone()),
+                Directive::Lock { pj, arrays } => Event::Lock {
+                    pj: *pj,
+                    ranges: self.layout.ranges_of(arrays),
+                },
+                Directive::Unlock { arrays } => Event::Unlock {
+                    ranges: self.layout.ranges_of(arrays),
+                },
+            }),
+        })
+    }
+
+    fn element(&mut self, array: &str, indices: &'p [Expr]) -> Elem {
+        Elem {
+            array: self.array(array),
+            row: self.expr(&indices[0]),
+            col: indices.get(1).map(|c| self.expr(c)),
+        }
+    }
+
+    fn boxed(&mut self, e: &'p Expr) -> Box<Ex> {
+        Box::new(self.expr(e))
+    }
+
+    fn expr(&mut self, e: &'p Expr) -> Ex {
+        match e {
+            Expr::Int(v) => Ex::Const(*v as f64),
+            Expr::Real(v) => Ex::Const(*v),
+            Expr::Scalar(name) => Ex::Scalar(self.scalar(name)),
+            Expr::Element { array, indices, .. } => {
+                Ex::Element(Box::new(self.element(array, indices)))
+            }
+            Expr::Call { name, args, .. } => match Intrinsic::resolve(name, args.len()) {
+                Some(f) => Ex::Call(f, args.iter().map(|a| self.expr(a)).collect()),
+                None => Ex::Fail(Box::new(InterpError::WrongArity {
+                    name: name.clone(),
+                    got: args.len(),
+                })),
+            },
+            Expr::Bin { op, lhs, rhs } => Ex::Bin(*op, self.boxed(lhs), self.boxed(rhs)),
+            Expr::Un {
+                op: UnOp::Neg,
+                operand,
+            } => Ex::Neg(self.boxed(operand)),
+            Expr::Rel { op, lhs, rhs } => Ex::Rel(*op, self.boxed(lhs), self.boxed(rhs)),
+            Expr::And(a, b) => Ex::And(self.boxed(a), self.boxed(b)),
+            Expr::Or(a, b) => Ex::Or(self.boxed(a), self.boxed(b)),
+            Expr::Not(inner) => Ex::Not(self.boxed(inner)),
+        }
+    }
+}
+
+/// The evaluator over the lowered tree: registers, arrays, the trace
+/// under construction and the event/iteration counters.
+struct Machine {
+    scalars: Vec<f64>,
+    arrays: Vec<Array>,
+    elems_per_page: u64,
+    /// References and directives stream into the compressed builder;
+    /// the flat `Vec<Event>` only exists if a caller asks for it.
+    builder: TraceBuilder,
+    emitted: u64,
+    /// `DO` iterations started, for the poll cadence only.
+    iterations: u64,
+    max_events: u64,
+    cancel: Option<CancelToken>,
+}
+
+impl Machine {
     /// Charges one logical event against the runaway-trace cap and, on
     /// the poll cadence, against the cancellation token.
     fn charge(&mut self) -> Result<(), InterpError> {
-        if self.emitted >= self.config.max_events {
+        if self.emitted >= self.max_events {
             return Err(InterpError::EventLimit {
-                limit: self.config.max_events,
+                limit: self.max_events,
             });
         }
         if self.emitted.is_multiple_of(POLL_INTERVAL) {
@@ -212,35 +503,25 @@ impl<'a> Interpreter<'a> {
         }
     }
 
-    fn push(&mut self, ev: Event) -> Result<(), InterpError> {
-        self.charge()?;
-        self.builder.push_directive(ev);
-        Ok(())
-    }
-
-    fn exec_block(&mut self, stmts: &'a [Stmt]) -> Result<(), InterpError> {
+    fn block(&mut self, stmts: &[St]) -> Result<(), InterpError> {
         for stmt in stmts {
-            self.exec_stmt(stmt)?;
+            self.stmt(stmt)?;
         }
         Ok(())
     }
 
-    fn exec_stmt(&mut self, stmt: &'a Stmt) -> Result<(), InterpError> {
+    fn stmt(&mut self, stmt: &St) -> Result<(), InterpError> {
         match stmt {
-            Stmt::Do {
+            St::Do {
                 var,
                 lo,
                 hi,
                 step,
                 body,
-                ..
             } => {
-                let lo = self.eval_int(lo, "DO bound")?;
-                let hi = self.eval_int(hi, "DO bound")?;
-                let step = match step {
-                    Some(s) => self.eval_int(s, "DO step")?,
-                    None => 1,
-                };
+                let lo = self.eval(lo)?.round() as i64;
+                let hi = self.eval(hi)?.round() as i64;
+                let step = self.eval(step)?.round() as i64;
                 if step == 0 {
                     return Err(InterpError::ZeroStep);
                 }
@@ -255,201 +536,150 @@ impl<'a> Interpreter<'a> {
                         self.poll()?;
                     }
                     self.iterations += 1;
-                    self.scalars.insert(var.clone(), v as f64);
-                    self.exec_block(body)?;
+                    self.scalars[*var] = v as f64;
+                    self.block(body)?;
                     v += step;
                 }
                 // The control variable keeps its post-loop value.
-                self.scalars.insert(var.clone(), v as f64);
-                Ok(())
+                self.scalars[*var] = v as f64;
             }
-            Stmt::Assign { target, value, .. } => {
+            St::SetScalar(slot, value) => self.scalars[*slot] = self.eval(value)?,
+            St::SetElement(elem, value) => {
                 let v = self.eval(value)?;
-                match target {
-                    Expr::Scalar(name) => {
-                        self.scalars.insert(name.clone(), v);
-                        Ok(())
-                    }
-                    Expr::Element { array, indices, .. } => {
-                        let linear = self.touch(array, indices)?;
-                        let slot = self
-                            .arrays
-                            .get_mut(array)
-                            .expect("sema guarantees the array exists");
-                        slot[linear] = v;
-                        Ok(())
-                    }
-                    other => unreachable!("sema rejects target {other:?}"),
-                }
+                let linear = self.touch(elem)?;
+                self.arrays[elem.array].data[linear] = v;
             }
-            Stmt::If {
+            St::If {
                 cond,
                 then_body,
                 else_body,
-                ..
             } => {
-                let c = self.eval(cond)?;
-                if c != 0.0 {
-                    self.exec_block(then_body)
+                if self.eval(cond)? != 0.0 {
+                    self.block(then_body)?;
                 } else {
-                    self.exec_block(else_body)
+                    self.block(else_body)?;
                 }
             }
-            Stmt::Continue { .. } => Ok(()),
-            Stmt::Directive { dir, .. } => self.exec_directive(dir),
-        }
-    }
-
-    fn exec_directive(&mut self, dir: &Directive) -> Result<(), InterpError> {
-        match dir {
-            Directive::Allocate { args } => self.push(Event::Alloc(args.clone())),
-            Directive::Lock { pj, arrays } => {
-                let ranges = self.layout.ranges_of(arrays);
-                self.push(Event::Lock { pj: *pj, ranges })
-            }
-            Directive::Unlock { arrays } => {
-                let ranges = self.layout.ranges_of(arrays);
-                self.push(Event::Unlock { ranges })
+            St::Directive(event) => {
+                self.charge()?;
+                self.builder.push_directive(event.clone());
             }
         }
+        Ok(())
     }
 
-    /// Evaluates the subscripts of an element of `array`, records the
-    /// reference and returns the element's storage offset.
-    fn touch(&mut self, array: &str, indices: &'a [Expr]) -> Result<usize, InterpError> {
-        let row = self.eval_subscript(array, &indices[0])?;
-        let col = match indices.get(1) {
-            Some(index) => self.eval_subscript(array, index)?,
+    /// Evaluates the subscripts of an element, records the reference
+    /// and returns the element's storage offset.
+    fn touch(&mut self, elem: &Elem) -> Result<usize, InterpError> {
+        let row = self.subscript(elem.array, &elem.row)?;
+        let col = match &elem.col {
+            Some(index) => self.subscript(elem.array, index)?,
             None => 1,
         };
-        let (page, linear) =
-            self.layout
-                .locate(array, row, col)
-                .ok_or_else(|| InterpError::OutOfBounds {
-                    array: array.to_string(),
-                    row,
-                    col,
-                })?;
+        let array = &self.arrays[elem.array];
+        let Some(linear) = array.region.offset(row, col) else {
+            return Err(InterpError::OutOfBounds {
+                array: array.name.clone(),
+                row,
+                col,
+            });
+        };
+        let page = array.region.page(linear, self.elems_per_page);
         self.charge()?;
         self.builder.push_ref(page);
-        Ok(linear)
+        Ok(linear as usize)
     }
 
-    fn eval_subscript(&mut self, array: &str, e: &'a Expr) -> Result<i64, InterpError> {
+    fn subscript(&mut self, array: usize, e: &Ex) -> Result<i64, InterpError> {
         let v = self.eval(e)?;
         if v.fract().abs() > 1e-9 || !v.is_finite() {
             return Err(InterpError::BadSubscript {
-                array: array.to_string(),
+                array: self.arrays[array].name.clone(),
                 value: v,
             });
         }
         Ok(v.round() as i64)
     }
 
-    fn eval_int(&mut self, e: &'a Expr, _what: &str) -> Result<i64, InterpError> {
-        let v = self.eval(e)?;
-        Ok(v.round() as i64)
-    }
-
-    fn eval(&mut self, e: &'a Expr) -> Result<f64, InterpError> {
-        match e {
-            Expr::Int(v) => Ok(*v as f64),
-            Expr::Real(v) => Ok(*v),
-            Expr::Scalar(name) => Ok(self.scalars.get(name).copied().unwrap_or(0.0)),
-            Expr::Element { array, indices, .. } => {
-                let linear = self.touch(array, indices)?;
-                Ok(self.arrays[array][linear])
+    fn eval(&mut self, e: &Ex) -> Result<f64, InterpError> {
+        let truth = |b: bool| if b { 1.0 } else { 0.0 };
+        Ok(match e {
+            Ex::Const(v) => *v,
+            Ex::Scalar(slot) => self.scalars[*slot],
+            Ex::Element(elem) => {
+                let linear = self.touch(elem)?;
+                self.arrays[elem.array].data[linear]
             }
-            Expr::Call { name, args, .. } => self.eval_intrinsic(name, args),
-            Expr::Bin { op, lhs, rhs } => {
+            Ex::Call(f, args) => self.call(*f, args)?,
+            Ex::Fail(err) => return Err((**err).clone()),
+            Ex::Bin(op, lhs, rhs) => {
                 let a = self.eval(lhs)?;
                 let b = self.eval(rhs)?;
-                Ok(match op {
+                match op {
                     BinOp::Add => a + b,
                     BinOp::Sub => a - b,
                     BinOp::Mul => a * b,
-                    BinOp::Div => {
-                        if b == 0.0 {
-                            0.0
-                        } else {
-                            a / b
-                        }
-                    }
+                    BinOp::Div if b == 0.0 => 0.0,
+                    BinOp::Div => a / b,
                     BinOp::Pow => clamp_finite(a.powf(b)),
-                })
+                }
             }
-            Expr::Un {
-                op: UnOp::Neg,
-                operand,
-            } => Ok(-self.eval(operand)?),
-            Expr::Rel { op, lhs, rhs } => {
+            Ex::Neg(operand) => -self.eval(operand)?,
+            Ex::Rel(op, lhs, rhs) => {
                 let a = self.eval(lhs)?;
                 let b = self.eval(rhs)?;
-                let r = match op {
+                truth(match op {
                     RelOp::Gt => a > b,
                     RelOp::Ge => a >= b,
                     RelOp::Lt => a < b,
                     RelOp::Le => a <= b,
                     RelOp::Eq => a == b,
                     RelOp::Ne => a != b,
-                };
-                Ok(if r { 1.0 } else { 0.0 })
+                })
             }
-            Expr::And(a, b) => {
-                let av = self.eval(a)?;
-                if av == 0.0 {
-                    // FORTRAN does not guarantee short-circuiting, but the
-                    // denotation is the same for side-effect-free operands;
-                    // we still evaluate `b` so its array references trace.
-                    let _ = self.eval(b)?;
-                    Ok(0.0)
-                } else {
-                    Ok(if self.eval(b)? != 0.0 { 1.0 } else { 0.0 })
-                }
+            // FORTRAN does not guarantee short-circuiting, and the
+            // denotation is the same for side-effect-free operands, so
+            // both sides always run and their array references trace.
+            Ex::And(lhs, rhs) => {
+                let a = self.eval(lhs)?;
+                let b = self.eval(rhs)?;
+                truth(a != 0.0 && b != 0.0)
             }
-            Expr::Or(a, b) => {
-                let av = self.eval(a)?;
-                let bv = self.eval(b)?;
-                Ok(if av != 0.0 || bv != 0.0 { 1.0 } else { 0.0 })
+            Ex::Or(lhs, rhs) => {
+                let a = self.eval(lhs)?;
+                let b = self.eval(rhs)?;
+                truth(a != 0.0 || b != 0.0)
             }
-            Expr::Not(inner) => Ok(if self.eval(inner)? == 0.0 { 1.0 } else { 0.0 }),
-        }
+            Ex::Not(inner) => truth(self.eval(inner)? == 0.0),
+        })
     }
 
-    fn eval_intrinsic(&mut self, name: &str, args: &'a [Expr]) -> Result<f64, InterpError> {
-        let arity_ok = match name {
-            "ABS" | "SQRT" | "EXP" | "ALOG" | "SIN" | "COS" | "FLOAT" | "INT" => args.len() == 1,
-            "MOD" | "SIGN" => args.len() == 2,
-            "MIN" | "MAX" => args.len() >= 2,
-            _ => false,
-        };
-        if !arity_ok {
-            return Err(InterpError::WrongArity {
-                name: name.to_string(),
-                got: args.len(),
-            });
-        }
+    fn call(&mut self, f: Intrinsic, args: &[Ex]) -> Result<f64, InterpError> {
         let a = self.eval(&args[0])?;
         let b = match args.get(1) {
             Some(e) => self.eval(e)?,
             None => 0.0,
         };
-        Ok(match name {
-            "ABS" => a.abs(),
-            "SQRT" => a.abs().sqrt(),
-            "EXP" => clamp_finite(a.min(700.0).exp()),
-            "ALOG" if a == 0.0 => 0.0,
-            "ALOG" => a.abs().ln(),
-            "SIN" => a.sin(),
-            "COS" => a.cos(),
-            "FLOAT" => a,
-            "INT" => a.trunc(),
-            "MOD" if b == 0.0 => 0.0,
-            "MOD" => a % b,
-            "SIGN" if b < 0.0 => -a.abs(),
-            "SIGN" => a.abs(),
-            _ => {
-                let pick = if name == "MIN" { f64::min } else { f64::max };
+        Ok(match f {
+            Intrinsic::Abs => a.abs(),
+            Intrinsic::Sqrt => a.abs().sqrt(),
+            Intrinsic::Exp => clamp_finite(a.min(700.0).exp()),
+            Intrinsic::Alog if a == 0.0 => 0.0,
+            Intrinsic::Alog => a.abs().ln(),
+            Intrinsic::Sin => a.sin(),
+            Intrinsic::Cos => a.cos(),
+            Intrinsic::Float => a,
+            Intrinsic::Int => a.trunc(),
+            Intrinsic::Mod if b == 0.0 => 0.0,
+            Intrinsic::Mod => a % b,
+            Intrinsic::Sign if b < 0.0 => -a.abs(),
+            Intrinsic::Sign => a.abs(),
+            Intrinsic::Min | Intrinsic::Max => {
+                let pick = if f == Intrinsic::Min {
+                    f64::min
+                } else {
+                    f64::max
+                };
                 let mut acc = pick(a, b);
                 for e in &args[2..] {
                     acc = pick(acc, self.eval(e)?);
@@ -464,7 +694,7 @@ impl<'a> Interpreter<'a> {
 #[derive(Debug, Clone, Default)]
 pub struct ProgramState {
     scalars: HashMap<String, f64>,
-    arrays: HashMap<String, Vec<f64>>,
+    arrays: Vec<Array>,
 }
 
 impl ProgramState {
@@ -475,19 +705,20 @@ impl ProgramState {
     }
 
     /// Final value of `array(row, col)` (1-based, column-major), or
-    /// `None` for unknown arrays. Pass `col = 1` for vectors. The rows
-    /// count must be supplied because the state does not retain shapes.
-    pub fn element(&self, array: &str, rows: u64, row: u64, col: u64) -> Option<f64> {
-        let data = self.arrays.get(array)?;
-        if row < 1 || col < 1 {
-            return None;
-        }
-        data.get(((col - 1) * rows + (row - 1)) as usize).copied()
+    /// `None` for an unknown array or a subscript outside the array's
+    /// declared extents. Pass `col = 1` for vectors.
+    pub fn element(&self, array: &str, row: u64, col: u64) -> Option<f64> {
+        let array = self.arrays.iter().find(|a| a.name == array)?;
+        let linear = array
+            .region
+            .offset(i64::try_from(row).ok()?, i64::try_from(col).ok()?)?;
+        array.data.get(linear as usize).copied()
     }
 
     /// The raw column-major contents of one array.
     pub fn array(&self, name: &str) -> Option<&[f64]> {
-        self.arrays.get(name).map(Vec::as_slice)
+        let array = self.arrays.iter().find(|a| a.name == name)?;
+        Some(&array.data)
     }
 }
 
@@ -508,7 +739,7 @@ fn clamp_finite(v: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{PageId, Trace};
+    use crate::event::{PageId, PageRange, Trace};
     use crate::trace_program_compressed;
     use cdmm_locality::PageGeometry;
 
@@ -739,6 +970,87 @@ mod tests {
                 "{call}"
             );
         }
+    }
+
+    #[test]
+    fn wrong_arity_is_raised_only_when_the_call_runs() {
+        // Never taken: no error, and the references around it trace.
+        let (t, state) = run_with(
+            "PROGRAM T\nDIMENSION V(4)\nV(1) = 2.0\nIF (V(1) .LT. 0.0) X = MOD(V(2))\nY = V(1)\nEND",
+            |i| i,
+        )
+        .unwrap();
+        assert_eq!(t.ref_count(), 3);
+        assert_eq!(state.scalar("Y"), 2.0);
+        // Taken on the third iteration: the first two iterations trace.
+        let err = run_with(
+            "PROGRAM T\nDIMENSION V(4)\nDO 10 I = 1, 4\nV(I) = 1.0\nIF (I .EQ. 3) X = SQRT(1.0, 2.0)\n10 CONTINUE\nEND",
+            |i| i,
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            InterpError::WrongArity {
+                name: "SQRT".into(),
+                got: 2
+            }
+        );
+    }
+
+    #[test]
+    fn unassigned_scalars_read_zero_and_parameters_are_preset() {
+        let (_, state) = run_with(
+            "PROGRAM T\nPARAMETER (N = 5)\nDIMENSION V(N)\nX = U + 1.0\nN = N + 1\nV(N - 1) = 1.0\nEND",
+            |i| i,
+        )
+        .unwrap();
+        assert_eq!(state.scalar("X"), 1.0);
+        assert_eq!(state.scalar("U"), 0.0);
+        assert_eq!(
+            state.scalar("N"),
+            6.0,
+            "a PARAMETER is an ordinary scalar at run time"
+        );
+        assert_eq!(state.scalar("NEVER"), 0.0);
+        assert_eq!(state.array("V").unwrap()[4], 1.0);
+    }
+
+    #[test]
+    fn locks_inside_loops_carry_the_same_ranges_every_time() {
+        let t = trace(
+            "PROGRAM T\nDIMENSION V(64), W(200)\nDO 10 I = 1, 3\n!MD$ LOCK (2,W,Z,V)\nW(I) = 1.0\n!MD$ UNLOCK (W)\n10 CONTINUE\nEND",
+        );
+        let locks: Vec<&Event> = t
+            .events
+            .iter()
+            .filter(|e| matches!(e, Event::Lock { .. }))
+            .collect();
+        assert_eq!(locks.len(), 3);
+        let want = Event::Lock {
+            pj: 2,
+            ranges: vec![PageRange::new(1, 5), PageRange::new(0, 1)],
+        };
+        assert!(locks.iter().all(|e| **e == want), "{locks:?}");
+    }
+
+    #[test]
+    fn state_elements_are_bounds_checked() {
+        let (_, state) = run_with(
+            "PROGRAM T\nDIMENSION A(3,2), V(4)\nA(1,2) = 7.0\nA(3,2) = 9.0\nV(4) = 1.0\nEND",
+            |i| i,
+        )
+        .unwrap();
+        assert_eq!(state.element("A", 1, 2), Some(7.0));
+        assert_eq!(state.element("A", 3, 2), Some(9.0));
+        assert_eq!(state.element("V", 4, 1), Some(1.0));
+        // Row 4 of a 3-row matrix is out of bounds, not a wrap into
+        // the next column (A(1,2) = 7.0).
+        assert_eq!(state.element("A", 4, 1), None);
+        assert_eq!(state.element("A", 1, 3), None);
+        assert_eq!(state.element("A", 0, 1), None);
+        assert_eq!(state.element("V", 1, 2), None);
+        assert_eq!(state.element("A", u64::MAX, u64::MAX), None);
+        assert_eq!(state.element("B", 1, 1), None);
     }
 
     #[test]

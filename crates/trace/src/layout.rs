@@ -14,7 +14,7 @@ use cdmm_locality::PageGeometry;
 use crate::event::{PageId, PageRange};
 
 /// One array's placement.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ArrayRegion {
     /// First page of the array.
     pub base_page: u32,
@@ -30,6 +30,21 @@ impl ArrayRegion {
     /// The array's page range.
     pub fn range(&self) -> PageRange {
         PageRange::new(self.base_page, self.base_page + self.pages)
+    }
+
+    /// The 0-based column-major offset of element `(row, col)`
+    /// (1-based; `col = 1` for vectors), or `None` when either
+    /// subscript falls outside the array's extents.
+    pub fn offset(&self, row: i64, col: i64) -> Option<u64> {
+        if row < 1 || col < 1 || row as u64 > self.rows || col as u64 > self.cols {
+            return None;
+        }
+        Some((col as u64 - 1) * self.rows + (row as u64 - 1))
+    }
+
+    /// The page holding the element at linear `offset`.
+    pub fn page(&self, offset: u64, elems_per_page: u64) -> PageId {
+        PageId((self.base_page as u64 + offset / elems_per_page) as u32)
     }
 }
 
@@ -89,20 +104,6 @@ impl MemoryLayout {
             .filter_map(|a| self.regions.get(a).map(ArrayRegion::range))
             .collect()
     }
-
-    /// The page holding element `(row, col)` of `array` (1-based,
-    /// column-major; pass `col = 1` for vectors) and the element's
-    /// 0-based linear offset within the array, or `None` when the array
-    /// is unknown or the subscripts are out of bounds.
-    pub fn locate(&self, array: &str, row: i64, col: i64) -> Option<(PageId, usize)> {
-        let r = self.regions.get(array)?;
-        if row < 1 || col < 1 || row as u64 > r.rows || col as u64 > r.cols {
-            return None;
-        }
-        let linear = (col as u64 - 1) * r.rows + (row as u64 - 1);
-        let page = r.base_page as u64 + linear / self.geometry.elems_per_page();
-        Some((PageId(page as u32), linear as usize))
-    }
 }
 
 #[cfg(test)]
@@ -130,10 +131,15 @@ mod tests {
         assert_eq!(l.total_pages(), 161);
     }
 
+    fn page_in(l: &MemoryLayout, a: &str, r: i64, c: i64) -> Option<PageId> {
+        let region = l.region(a)?;
+        Some(region.page(region.offset(r, c)?, l.geometry().elems_per_page()))
+    }
+
     #[test]
     fn column_major_paging() {
         let l = layout("PROGRAM T\nPARAMETER (N = 64)\nDIMENSION A(N,N)\nEND");
-        let page_of = |a, r, c| l.locate(a, r, c).map(|(page, _)| page);
+        let page_of = |a, r, c| page_in(&l, a, r, c);
         // One column = exactly one page with 64 elements per page.
         assert_eq!(page_of("A", 1, 1), Some(PageId(0)));
         assert_eq!(page_of("A", 64, 1), Some(PageId(0)));
@@ -146,7 +152,7 @@ mod tests {
     #[test]
     fn vector_paging_and_bounds() {
         let l = layout("PROGRAM T\nDIMENSION V(130)\nEND");
-        let page_of = |a, r, c| l.locate(a, r, c).map(|(page, _)| page);
+        let page_of = |a, r, c| page_in(&l, a, r, c);
         assert_eq!(page_of("V", 1, 1), Some(PageId(0)));
         assert_eq!(page_of("V", 64, 1), Some(PageId(0)));
         assert_eq!(page_of("V", 65, 1), Some(PageId(1)));
@@ -160,7 +166,7 @@ mod tests {
     #[test]
     fn linear_offsets_are_column_major() {
         let l = layout("PROGRAM T\nDIMENSION A(3,2)\nEND");
-        let linear_of = |a, r, c| l.locate(a, r, c).map(|(_, linear)| linear);
+        let linear_of = |a, r, c| l.region(a)?.offset(r, c);
         assert_eq!(linear_of("A", 1, 1), Some(0));
         assert_eq!(linear_of("A", 2, 1), Some(1));
         assert_eq!(linear_of("A", 3, 1), Some(2));

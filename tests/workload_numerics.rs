@@ -22,15 +22,15 @@ fn fdjac_matches_the_analytic_jacobian() {
     let s = state_of("FDJAC");
     let n = 12u64;
     for j in 2..n {
-        let diag = s.element("FJAC", n, j, j).unwrap();
+        let diag = s.element("FJAC", j, j).unwrap();
         assert!((diag - 7.0).abs() < 1e-2, "diag {j}: {diag}");
-        let lower = s.element("FJAC", n, j + 1, j).unwrap();
+        let lower = s.element("FJAC", j + 1, j).unwrap();
         assert!((lower + 1.0).abs() < 1e-2, "lower {j}: {lower}");
-        let upper = s.element("FJAC", n, j - 1, j).unwrap();
+        let upper = s.element("FJAC", j - 1, j).unwrap();
         assert!((upper + 2.0).abs() < 1e-2, "upper {j}: {upper}");
         // Entries far off the band are (numerically) zero.
         if j + 3 <= n {
-            let far = s.element("FJAC", n, j + 3, j).unwrap();
+            let far = s.element("FJAC", j + 3, j).unwrap();
             assert!(far.abs() < 1e-6, "off-band {j}: {far}");
         }
     }
@@ -45,7 +45,7 @@ fn main_diagnostics_are_row_means() {
     let n = 10u64;
     let expect = 0.015 * (n as f64 + 1.0) / 2.0;
     for j in 1..=n {
-        let q = s.element("Q", n, j, 1).unwrap();
+        let q = s.element("Q", j, 1).unwrap();
         assert!((q - expect).abs() < 1e-9, "Q({j}) = {q}, want {expect}");
     }
 }
@@ -58,7 +58,7 @@ fn conduct_heats_stay_physical() {
     let n = 12u64;
     for j in 2..n {
         for i in 2..n {
-            let t = s.element("T", n, i, j).unwrap();
+            let t = s.element("T", i, j).unwrap();
             assert!((t - 100.0).abs() < 1e-6, "T({i},{j}) = {t}");
         }
     }
@@ -73,14 +73,14 @@ fn approx_normal_matrix_is_symmetric() {
     let s = state_of("APPROX");
     let k = 6u64;
     for l in 2..=k {
-        let g = s.element("G", k, l, 1).unwrap();
+        let g = s.element("G", l, 1).unwrap();
         // The elimination regularizes the pivot with +1e-4, so entries
         // are annihilated to ~1e-4 of their original O(10) magnitude.
         assert!(g.abs() < 1e-2, "G({l},1) = {g} not eliminated");
     }
     for j in 1..=k {
         for l in 1..=k {
-            let g = s.element("G", k, l, j).unwrap();
+            let g = s.element("G", l, j).unwrap();
             assert!(g.is_finite());
         }
     }
@@ -95,7 +95,7 @@ fn field_relaxation_moves_toward_the_source_term() {
     let mut max_phi: f64 = 0.0;
     for j in 2..n {
         for i in 2..n {
-            let phi = s.element("PHI", n, i, j).unwrap();
+            let phi = s.element("PHI", i, j).unwrap();
             assert!(phi >= 0.0, "PHI({i},{j}) = {phi}");
             max_phi = max_phi.max(phi);
         }
@@ -122,7 +122,7 @@ fn hwscrt_backsolve_fills_the_interior() {
     let n = 12u64;
     for j in 2..n {
         for i in 2..n {
-            let f = s.element("F", n, i, j).unwrap();
+            let f = s.element("F", i, j).unwrap();
             assert!(f.is_finite(), "F({i},{j})");
         }
     }
@@ -134,7 +134,7 @@ fn hybrj_step_is_finite_and_nonzero() {
     let n = 12u64;
     let mut any_nonzero = false;
     for i in 1..=n {
-        let w = s.element("WA", n, i, 1).unwrap();
+        let w = s.element("WA", i, 1).unwrap();
         assert!(w.is_finite(), "WA({i})");
         if w.abs() > 1e-12 {
             any_nonzero = true;
