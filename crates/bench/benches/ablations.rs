@@ -9,7 +9,7 @@ use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
 use cdmm_vmsim::policy::pff::Pff;
 use cdmm_vmsim::policy::ws::WorkingSet;
 use cdmm_vmsim::policy::ws_variants::{DampedWs, SampledWs, VariableSampledWs};
-use cdmm_vmsim::{run_fleet, Admission, FleetConfig, TenantSpec};
+use cdmm_vmsim::{run_fleet, Admission, CancelToken, FleetConfig, NullTracer, TenantSpec};
 use cdmm_vmsim::{simulate, SimConfig};
 use cdmm_workloads::Scale;
 
@@ -73,14 +73,12 @@ fn main() {
             arrival: 0,
         };
         let tenants = vec![tenant("a", false), tenant("b", false), tenant("c", true)];
-        run_fleet(
-            tenants,
-            FleetConfig {
-                frames_per_cell: 30,
-                tenants_per_cell: 3,
-                admission: Admission::Free,
-                ..Default::default()
-            },
-        )
+        let config = FleetConfig {
+            frames_per_cell: 30,
+            tenants_per_cell: 3,
+            admission: Admission::Free,
+            ..Default::default()
+        };
+        run_fleet(tenants, config, &mut NullTracer, None, &CancelToken::new())
     })
 }

@@ -2,7 +2,7 @@
 //!
 //! One bench per table/figure artifact, as DESIGN.md's experiment index
 //! requires. These run at `Scale::Small` so the repeated sampling stays
-//! fast; the `--bin tableN` binaries produce the paper-scale rows.
+//! fast; the `--bin tables` binary produces the paper-scale rows.
 
 use cdmm_bench::timing::run;
 use cdmm_core::experiments::{table1, table2, table3, table4, Harness};

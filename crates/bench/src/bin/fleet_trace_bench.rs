@@ -28,7 +28,7 @@ use cdmm_bench::BenchEnv;
 use cdmm_core::fleet::{prepare_fleet, FleetSpec};
 use cdmm_core::pipeline::PolicySpec;
 use cdmm_vmsim::policy::cd::CdSelector;
-use cdmm_vmsim::{CancelToken, EventLog, FleetReport, NullTracer, Tracer};
+use cdmm_vmsim::{EventLog, FleetReport, NullTracer, Tracer};
 
 fn env_u64(name: &str) -> Option<u64> {
     std::env::var(name).ok().and_then(|v| v.parse().ok())
@@ -38,11 +38,8 @@ fn env_u64(name: &str) -> Option<u64> {
 /// measurement, preparation is not (both sides pay it identically).
 fn timed_run(spec: &FleetSpec, tracer: &mut dyn Tracer) -> (Duration, FleetReport) {
     let prepared = prepare_fleet(spec).expect("fleet prepares");
-    let token = CancelToken::new();
     let t0 = Instant::now();
-    let report = prepared
-        .run_cancellable(tracer, &token)
-        .expect("fleet runs");
+    let report = prepared.run_with(tracer).expect("fleet runs");
     (t0.elapsed(), report)
 }
 

@@ -1,10 +1,9 @@
 //! Shared helpers for the table-regeneration binaries and the criterion
 //! benches.
 //!
-//! Each of the paper's tables has a binary (`cargo run --release -p
-//! cdmm-bench --bin tableN`) that prints the reproduced rows next to the
-//! paper's published values, plus `--bin tables` to print everything, and
-//! ablation binaries for the design choices DESIGN.md calls out.
+//! `cargo run --release -p cdmm-bench --bin tables` prints the reproduced
+//! rows of every paper table next to the published values; ablation
+//! binaries cover the design choices DESIGN.md calls out.
 
 use cdmm_core::experiments::{table1, table2, table3, table4, Harness, TABLE1_ROWS};
 use cdmm_core::fleet::{run_fleet_spec, FleetSpec};

@@ -32,7 +32,7 @@ pub const TABLE1_ROWS: [&str; 8] = [
 ];
 
 /// Shared preparation cache: every program is compiled and traced once,
-/// then reused across tables. Table generation shards its point grids
+/// then reused across tables. Table generation spreads its point grids
 /// across the harness [`Executor`] and memoizes every simulated point in
 /// the harness [`ResultCache`].
 pub struct Harness {

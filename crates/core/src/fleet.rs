@@ -1,6 +1,5 @@
 //! Fleet assembly: clone paper workloads into thousands of tenants and
-//! hand them to the sharded, work-stealing scheduler in
-//! [`cdmm_vmsim::fleet`].
+//! hand them to the cell scheduler in [`cdmm_vmsim::fleet`].
 //!
 //! The vmsim layer schedules *tenants it is given*; this module is the
 //! part that manufactures them. A [`FleetSpec`] names a handful of
@@ -23,8 +22,8 @@
 //! fleet over 3 workloads compiles and traces at most 9 programs, then
 //! clones the compressed traces (cheap `Vec` clones) per tenant.
 //!
-//! Everything is derived from `(spec, seed)` alone — never from thread
-//! or shard geometry — which is what lets [`PreparedFleet::key`]
+//! Everything is derived from `(spec, seed)` alone — never from the
+//! thread count — which is what lets [`PreparedFleet::key`]
 //! content-address a fleet result independently of how it was executed.
 
 use std::collections::HashMap;
@@ -34,8 +33,8 @@ use cdmm_trace::{CancelToken, CompressedTrace, DirectiveFuzzer, TenantJitter};
 use cdmm_vmsim::policy::cd::CdPolicy;
 use cdmm_vmsim::policy::Policy;
 use cdmm_vmsim::{
-    run_fleet_cancellable, run_fleet_observed, Admission, FleetConfig, FleetReport, FleetScorecard,
-    NullTracer, ProgressCounters, SimError, TenantSpec, Tracer,
+    run_fleet, Admission, FleetConfig, FleetReport, FleetScorecard, NullTracer, ProgressCounters,
+    SimError, TenantSpec, Tracer,
 };
 use cdmm_workloads::Scale;
 
@@ -84,9 +83,6 @@ pub struct FleetSpec {
     pub quantum: u64,
     /// Admission control at cell entry.
     pub admission: Admission,
-    /// Work-distribution batches (0 = one shard per cell). Never
-    /// affects results.
-    pub shards: usize,
     /// Worker threads (1 = serial). Never affects results.
     pub threads: usize,
     /// Apply seeded per-tenant perturbation. Off, every clone of a
@@ -120,7 +116,6 @@ impl Default for FleetSpec {
             tenants_per_cell: 4,
             quantum: 300,
             admission: Admission::PiLevel(1),
-            shards: 0,
             threads: 1,
             jitter: true,
             chaos: Vec::new(),
@@ -183,8 +178,8 @@ pub struct PreparedFleet {
 impl PreparedFleet {
     /// Content-addressed identity of this fleet's *result*: covers
     /// every tenant's program fingerprint and perturbed policy plus the
-    /// semantic scheduling knobs, and deliberately excludes shard and
-    /// thread counts (which never change the report).
+    /// semantic scheduling knobs, and deliberately excludes the thread
+    /// count (which never changes the report).
     pub fn key(&self) -> CacheKey {
         self.key
     }
@@ -208,36 +203,22 @@ impl PreparedFleet {
     /// event streams are replayed into it deterministically, in cell
     /// order).
     pub fn run_with(self, tracer: &mut dyn Tracer) -> Result<FleetReport, FleetError> {
-        let token = CancelToken::new();
-        self.run_cancellable(tracer, &token)
+        let (report, _) = self.run_observed(tracer, None, &CancelToken::new())?;
+        Ok(report)
     }
 
-    /// [`PreparedFleet::run_with`] under a cooperative [`CancelToken`].
-    pub fn run_cancellable(
-        self,
-        tracer: &mut dyn Tracer,
-        token: &CancelToken,
-    ) -> Result<FleetReport, FleetError> {
-        Ok(run_fleet_cancellable(
-            self.tenants,
-            self.config,
-            tracer,
-            token,
-        )?)
-    }
-
-    /// [`PreparedFleet::run_cancellable`] with the full observability
-    /// plane: returns the wall-side [`FleetScorecard`] next to the
-    /// deterministic report and bumps the optional shared
-    /// [`ProgressCounters`] as cells finish, so callers can stream live
-    /// progress frames while the fleet runs.
+    /// [`PreparedFleet::run_with`] under a cooperative [`CancelToken`],
+    /// with the full observability plane: returns the wall-side
+    /// [`FleetScorecard`] next to the deterministic report and bumps the
+    /// optional shared [`ProgressCounters`] as cells finish, so callers
+    /// can stream live progress frames while the fleet runs.
     pub fn run_observed(
         self,
         tracer: &mut dyn Tracer,
         progress: Option<&ProgressCounters>,
         token: &CancelToken,
     ) -> Result<(FleetReport, FleetScorecard), FleetError> {
-        Ok(run_fleet_observed(
+        Ok(run_fleet(
             self.tenants,
             self.config,
             tracer,
@@ -300,7 +281,7 @@ fn perturb_spec(spec: PolicySpec, jit: &TenantJitter) -> PolicySpec {
 }
 
 /// Encodes the semantic scheduling knobs (everything that changes the
-/// report) for the fleet key. Shards and threads are absent on purpose.
+/// report) for the fleet key. The thread count is absent on purpose.
 fn semantic_knobs(spec: &FleetSpec) -> Vec<u64> {
     let mut knobs = vec![
         spec.seed,
@@ -454,7 +435,6 @@ pub fn prepare_fleet(spec: &FleetSpec) -> Result<PreparedFleet, FleetError> {
         quantum: spec.quantum,
         fault_service: spec.config.fault_service,
         admission: spec.admission,
-        shards: spec.shards,
         threads: spec.threads,
         collect_registries: spec.collect_registries,
     };
@@ -589,10 +569,9 @@ mod tests {
     fn fleet_key_ignores_execution_geometry() {
         let spec = small_spec();
         let base = prepare_fleet(&spec).unwrap().key();
-        let mut sharded = small_spec();
-        sharded.shards = 3;
-        sharded.threads = 4;
-        assert_eq!(prepare_fleet(&sharded).unwrap().key(), base);
+        let mut threaded = small_spec();
+        threaded.threads = 4;
+        assert_eq!(prepare_fleet(&threaded).unwrap().key(), base);
         let mut reseeded = small_spec();
         reseeded.seed = 43;
         assert_ne!(prepare_fleet(&reseeded).unwrap().key(), base);

@@ -13,8 +13,9 @@
 //!
 //! Sweeps run through two engine pieces:
 //!
-//! - [`Executor`] shards the point grid across scoped worker threads and
-//!   merges results in deterministic parameter order;
+//! - [`Executor`] (re-exported from [`cdmm_vmsim::executor`]) spreads the
+//!   point grid across scoped worker threads and merges results in
+//!   deterministic parameter order;
 //! - [`ResultCache`] memoizes each `(program, policy, parameter)` point
 //!   under a content-addressed key, optionally persisted under
 //!   `target/cdmm-cache/`.
@@ -28,7 +29,6 @@
 //! results (see the [`plan`] module docs).
 
 pub mod cache;
-pub mod executor;
 pub mod plan;
 
 use std::time::Instant;
@@ -39,6 +39,7 @@ use cdmm_vmsim::Metrics;
 use crate::pipeline::{PolicySpec, Prepared};
 
 pub use cache::{CacheKey, KeyHasher, ResultCache};
+pub use cdmm_vmsim::executor;
 pub use executor::{panic_message, Executor, JobError};
 pub use plan::SweepPlan;
 
@@ -206,9 +207,8 @@ pub fn spec_key(p: &Prepared, spec: PolicySpec) -> CacheKey {
 /// perturbed policy) folded together with the fleet's semantic
 /// scheduling knobs.
 ///
-/// Work-distribution knobs — shard and thread counts — are deliberately
-/// *not* part of the key: the fleet report is byte-identical across
-/// them, so one key names one result.
+/// The thread count is deliberately *not* part of the key: the fleet
+/// report is byte-identical across it, so one key names one result.
 pub fn fleet_key(tenant_points: &[CacheKey], semantic_knobs: &[u64]) -> CacheKey {
     let mut h = KeyHasher::new();
     // Domain tag, disjoint from the policy-variant tags (1–3, 10–16).

@@ -105,8 +105,6 @@ pub struct FleetRequest {
     pub tenants: u64,
     /// Fleet seed (absent: the [`FleetSpec`] default).
     pub seed: Option<u64>,
-    /// Work-distribution shards (never affects the report).
-    pub shards: Option<u64>,
     /// Workload rotation, from the comma-separated `workloads` field.
     /// Empty means the default rotation.
     pub workloads: Vec<String>,
@@ -152,9 +150,6 @@ impl FleetRequest {
         };
         if let Some(s) = self.seed {
             spec.seed = s;
-        }
-        if let Some(s) = self.shards {
-            spec.shards = s as usize;
         }
         if !self.workloads.is_empty() {
             spec.workloads = self.workloads.clone();
@@ -647,7 +642,6 @@ const FLEET_KEYS: &[&str] = &[
     "job",
     "tenants",
     "seed",
-    "shards",
     "workloads",
     "mix",
     "frames",
@@ -750,7 +744,6 @@ fn parse_fleet(id: String, fields: &BTreeMap<String, Scalar>) -> Result<FleetReq
         id,
         tenants,
         seed: get_u64(fields, "seed")?,
-        shards: get_u64(fields, "shards")?,
         workloads,
         mix,
         frames: get_u64(fields, "frames")?,
@@ -1098,7 +1091,7 @@ mod tests {
     #[test]
     fn fleet_request_parses_every_knob() {
         let r = fleet(
-            r#"{"id":"f2","job":"fleet","tenants":128,"seed":42,"shards":5,"workloads":"FDJAC, TQL","mix":"cd:innermost,ws:2000,lru:16","frames":48,"cell":3,"quantum":200,"admission":2,"jitter":false,"deadline_ms":900}"#,
+            r#"{"id":"f2","job":"fleet","tenants":128,"seed":42,"workloads":"FDJAC, TQL","mix":"cd:innermost,ws:2000,lru:16","frames":48,"cell":3,"quantum":200,"admission":2,"jitter":false,"deadline_ms":900}"#,
         );
         assert_eq!(r.workloads, vec!["FDJAC".to_string(), "TQL".to_string()]);
         assert_eq!(
@@ -1114,7 +1107,6 @@ mod tests {
         assert_eq!(r.deadline_ms, Some(900));
         let spec = r.fleet_spec();
         assert_eq!(spec.seed, 42);
-        assert_eq!(spec.shards, 5);
         assert_eq!(spec.frames_per_cell, 48);
         assert_eq!(spec.tenants_per_cell, 3);
         assert_eq!(spec.quantum, 200);

@@ -554,16 +554,16 @@ impl BatchService {
             Err(outcome) => return outcome,
         };
         let result = match (&mut sink, req.metrics) {
-            (None, false) => prepared.run_cancellable(&mut NullTracer, token),
-            (None, true) => prepared.run_cancellable(&mut registry, token),
-            (Some(s), false) => prepared.run_cancellable(s, token),
+            (None, false) => prepared.run_observed(&mut NullTracer, None, token),
+            (None, true) => prepared.run_observed(&mut registry, None, token),
+            (Some(s), false) => prepared.run_observed(s, None, token),
             (Some(s), true) => {
                 let mut tee = Tee::new(s, &mut registry);
-                prepared.run_cancellable(&mut tee, token)
+                prepared.run_observed(&mut tee, None, token)
             }
         };
         match result {
-            Ok(report) => JobOutcome::FleetOk {
+            Ok((report, _)) => JobOutcome::FleetOk {
                 report: Box::new(report),
                 extra: observability_extra(sink.as_ref(), req.metrics.then_some(&registry)),
             },
@@ -906,9 +906,14 @@ mod tests {
     #[test]
     fn unknown_request_fields_are_rejected_end_to_end() {
         let s = service(ServeConfig::default());
-        let out = s.handle_batch(&[r#"{"id":"x","workload":"MAIN","policy":"cd","trase":true}"#]);
-        assert!(out[0].contains("\"error\":\"bad_request\""), "{}", out[0]);
-        assert!(out[0].contains("unknown request field"), "{}", out[0]);
+        let out = s.handle_batch(&[
+            r#"{"id":"x","workload":"MAIN","policy":"cd","trase":true}"#,
+            r#"{"id":"y","job":"fleet","tenants":4,"shards":3}"#,
+        ]);
+        for row in &out {
+            assert!(row.contains("\"error\":\"bad_request\""), "{row}");
+            assert!(row.contains("unknown request field"), "{row}");
+        }
     }
 
     #[test]
@@ -1120,7 +1125,7 @@ mod tests {
 
     #[test]
     fn fleet_rows_are_deterministic_across_service_geometry() {
-        let line = r#"{"id":"fd","job":"fleet","tenants":8,"workloads":"FDJAC,TQL","mix":"cd,ws:2000","frames":48,"cell":4,"seed":11,"shards":3}"#;
+        let line = r#"{"id":"fd","job":"fleet","tenants":8,"workloads":"FDJAC,TQL","mix":"cd,ws:2000","frames":48,"cell":4,"seed":11}"#;
         let mk = |threads| {
             service(ServeConfig {
                 threads,

@@ -1,9 +1,9 @@
-//! Fleet-scale multiprogramming: thousands of tenants, sharded cells,
-//! work-stealing workers, deterministic merge.
+//! Fleet-scale multiprogramming: thousands of tenants in independent
+//! cells, run as jobs of the one [`Executor`], deterministic merge.
 //!
 //! The paper's Section 4 leaves CD's multiprogramming performance "still
 //! to be evaluated". This module answers it at fleet scale: the
-//! Section-4 dispatch/swapper loop over sharded populations of tenants.
+//! Section-4 dispatch/swapper loop over populations of tenants.
 //!
 //! # The determinism invariant
 //!
@@ -12,13 +12,11 @@
 //! [`FleetConfig::frames_per_cell`] page frames under one Section-4
 //! dispatch loop (round-robin quanta, fault blocking, PI-driven
 //! ALLOCATE with the Figure-6 swapper, load control). Cell membership
-//! is fixed by submission order alone. A **shard** is purely a unit of
-//! work distribution — a contiguous batch of cells a worker claims (or
-//! steals) — and never a memory domain. Because cells are mutually
-//! independent and merged by cell index, the [`FleetReport`] is
-//! byte-identical at any thread count *and* any shard count: execution
-//! geometry is not allowed to touch semantics. This is the same
-//! contract the sweep executor pins for parameter sweeps.
+//! is fixed by submission order alone. Each cell is one job of an
+//! [`Executor`]; because cells are mutually independent and merged by
+//! cell (job) index, the [`FleetReport`] is byte-identical at any thread
+//! count: execution geometry is not allowed to touch semantics. This is
+//! the same contract the executor pins for parameter sweeps.
 //!
 //! # Run-granular dispatch
 //!
@@ -35,14 +33,14 @@
 use cdmm_trace::{COp, CancelToken, CompressedTrace, Event, PageId, Run};
 
 use crate::error::SimError;
+use crate::executor::{worker_index, Executor};
 use crate::metrics::Metrics;
-use crate::observe::{Histogram, NullTracer, SimEvent, Span, TimedEvent, Tracer};
+use crate::observe::{Histogram, SimEvent, Span, Tracer};
 use crate::policy::Policy;
 use crate::progress::ProgressCounters;
 use crate::stats::{HistogramSummary, MetricsRegistry, RegistrySnapshot};
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -89,9 +87,6 @@ pub struct FleetConfig {
     pub fault_service: u64,
     /// Admission-control rule for arriving tenants.
     pub admission: Admission,
-    /// Work-distribution batches of cells (0 = auto). Never affects
-    /// results, only which worker runs which cell.
-    pub shards: usize,
     /// Worker threads (0 or 1 = serial). Never affects results.
     pub threads: usize,
     /// Collect a per-tenant [`MetricsRegistry`] snapshot. Forces
@@ -108,7 +103,6 @@ impl Default for FleetConfig {
             quantum: 300,
             fault_service: 2_000,
             admission: Admission::Free,
-            shards: 0,
             threads: 1,
             collect_registries: false,
         }
@@ -151,8 +145,8 @@ pub struct CellReport {
     pub forced_admissions: u64,
 }
 
-/// Result of one fleet run. Byte-identical across thread and shard
-/// counts for the same tenants and configuration.
+/// Result of one fleet run. Byte-identical across thread counts for
+/// the same tenants and configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Per-tenant results, in submission order.
@@ -191,15 +185,10 @@ pub struct WorkerTimeline {
     pub worker: u32,
     /// Wall nanoseconds spent running cells.
     pub busy_ns: u64,
-    /// Wall nanoseconds spent hunting for shards (or drained of work).
+    /// Wall nanoseconds of the simulate phase spent not running cells.
     pub idle_ns: u64,
     /// Cells this worker ran.
     pub cells_run: u64,
-    /// Shards this worker claimed.
-    pub claims: u64,
-    /// Claims that were steals (shards outside the worker's own
-    /// allotment).
-    pub steals: u64,
 }
 
 impl WorkerTimeline {
@@ -230,47 +219,24 @@ pub struct CellPressure {
 }
 
 /// Wall-side scheduler telemetry for one fleet run: worker-utilization
-/// timelines, shard claim/steal counters, phase spans, and per-cell
-/// swapper-pressure breakdowns.
+/// timelines, phase spans, and per-cell swapper-pressure breakdowns.
 ///
 /// Everything here depends on execution geometry and wall clocks, so it
-/// is kept strictly apart from the byte-identical [`FleetReport`]. The
-/// scorecard is itself a [`Tracer`]: workers buffer their scheduler
-/// events ([`SimEvent::ShardClaimed`], [`SimEvent::WorkerState`])
-/// locally and the driver replays the buffers through
-/// [`Tracer::record`] after the join.
+/// is kept strictly apart from the byte-identical [`FleetReport`].
 #[derive(Debug, Clone, Default)]
 pub struct FleetScorecard {
     /// Per-worker timelines, worker order.
     pub workers: Vec<WorkerTimeline>,
-    /// Shards claimed over the run (every shard is claimed exactly
-    /// once, so this equals the effective shard count).
-    pub shard_claims: u64,
-    /// Claims that were steals.
-    pub shard_steals: u64,
     /// `(phase, wall_ns)` spans: prepare / simulate / report.
     pub phase_ns: Vec<(&'static str, u64)>,
     /// Per-cell pressure breakdowns, cell order.
     pub cells: Vec<CellPressure>,
-    /// Raw scheduler events, wall-ns timestamps relative to run start.
-    pub events: Vec<TimedEvent>,
 }
 
 impl FleetScorecard {
     /// An empty scorecard.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn worker_mut(&mut self, w: u32) -> &mut WorkerTimeline {
-        let idx = w as usize;
-        if self.workers.len() <= idx {
-            self.workers.resize_with(idx + 1, WorkerTimeline::default);
-            for (i, t) in self.workers.iter_mut().enumerate() {
-                t.worker = i as u32;
-            }
-        }
-        &mut self.workers[idx]
     }
 
     /// Closes a phase [`Span`] into the phase timeline.
@@ -299,8 +265,9 @@ impl FleetScorecard {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "fleet scorecard: {} shard claims ({} stolen)",
-            self.shard_claims, self.shard_steals
+            "fleet scorecard: {} cells on {} workers",
+            self.cells.len(),
+            self.workers.len()
         );
         for (label, ns) in &self.phase_ns {
             let _ = writeln!(out, "  phase {label:<9} {:.3} ms", *ns as f64 / 1e6);
@@ -308,12 +275,10 @@ impl FleetScorecard {
         for w in &self.workers {
             let _ = writeln!(
                 out,
-                "  worker {}: {:.1}% busy, {} cells, {} claims ({} stolen)",
+                "  worker {}: {:.1}% busy, {} cells",
                 w.worker,
                 w.utilization() * 100.0,
-                w.cells_run,
-                w.claims,
-                w.steals
+                w.cells_run
             );
         }
         for c in self.hottest_cells(3) {
@@ -327,30 +292,6 @@ impl FleetScorecard {
             );
         }
         out
-    }
-}
-
-impl Tracer for FleetScorecard {
-    fn record(&mut self, at: u64, event: &SimEvent) {
-        match event {
-            SimEvent::ShardClaimed { worker, stolen, .. } => {
-                self.shard_claims += 1;
-                if *stolen {
-                    self.shard_steals += 1;
-                }
-                let w = self.worker_mut(*worker);
-                w.claims += 1;
-                if *stolen {
-                    w.steals += 1;
-                }
-                self.events.push(TimedEvent { at, event: *event });
-            }
-            SimEvent::WorkerState { .. } => {
-                self.events.push(TimedEvent { at, event: *event });
-            }
-            // The scorecard consumes only scheduler-plane events.
-            _ => {}
-        }
     }
 }
 
@@ -515,35 +456,6 @@ fn entry_demand(trace: &CompressedTrace, level: u32) -> u64 {
     0
 }
 
-/// Runs a fleet of tenants. See the module docs for the semantics; the
-/// report is byte-identical at any `threads`/`shards` setting.
-pub fn run_fleet(tenants: Vec<TenantSpec>, config: FleetConfig) -> Result<FleetReport, SimError> {
-    run_fleet_with(tenants, config, &mut NullTracer)
-}
-
-/// [`run_fleet`] with an event [`Tracer`] attached. Per-cell events are
-/// buffered during the (possibly parallel) run and replayed into the
-/// tracer in cell order after the merge, so the tracer sees the same
-/// deterministic stream at any thread count.
-pub fn run_fleet_with(
-    tenants: Vec<TenantSpec>,
-    config: FleetConfig,
-    tracer: &mut dyn Tracer,
-) -> Result<FleetReport, SimError> {
-    run_fleet_cancellable(tenants, config, tracer, &CancelToken::new())
-}
-
-/// [`run_fleet_with`] polling a [`CancelToken`] once per scheduling
-/// burst; cancellation surfaces as [`SimError::DeadlineExceeded`].
-pub fn run_fleet_cancellable(
-    tenants: Vec<TenantSpec>,
-    config: FleetConfig,
-    tracer: &mut dyn Tracer,
-    token: &CancelToken,
-) -> Result<FleetReport, SimError> {
-    run_fleet_observed(tenants, config, tracer, None, token).map(|(report, _)| report)
-}
-
 /// Which event streams a cell run feeds. Derived once per fleet run
 /// from the attached tracer's appetite, then hoisted out of every hot
 /// loop — the all-false case does no event work at all.
@@ -559,73 +471,22 @@ struct Obs {
     pdrain: bool,
 }
 
-/// A worker's private observability state: scheduler events stamped
-/// with wall-ns, busy time, and per-cell wall costs. Buffered locally —
-/// no cross-worker synchronization — and folded into the
-/// [`FleetScorecard`] after the join.
-#[derive(Debug, Default)]
-struct WorkerLocal {
-    worker: u32,
-    events: Vec<(u64, SimEvent)>,
-    busy_ns: u64,
-    cells_run: u64,
-    ended_ns: u64,
-    cell_walls: Vec<(usize, u64)>,
-}
-
-impl WorkerLocal {
-    fn new(worker: u32) -> Self {
-        WorkerLocal {
-            worker,
-            ..Self::default()
-        }
-    }
-}
-
-fn wall_ns(epoch: &Instant) -> u64 {
-    u64::try_from(epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Runs one cell with wall-clock accounting and progress bumps wrapped
-/// around the deterministic core.
-fn run_cell_timed(
-    idx: usize,
-    cell: Vec<Tenant>,
-    config: &FleetConfig,
-    obs: Obs,
-    token: &CancelToken,
-    local: &mut WorkerLocal,
-    progress: Option<&ProgressCounters>,
-) -> Result<CellDone, SimError> {
-    let tenants = cell.len() as u64;
-    let t0 = Instant::now();
-    let r = run_cell(idx as u32, cell, config, obs, token);
-    let wall = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    local.busy_ns += wall;
-    local.cells_run += 1;
-    local.cell_walls.push((idx, wall));
-    if let Some(p) = progress {
-        p.sub_queued(tenants);
-        if let Ok(done) = &r {
-            p.add_done(tenants);
-            p.add_refs(done.reports.iter().map(|t| t.metrics.refs).sum());
-        }
-        p.record_latency_ms(wall / 1_000_000);
-    }
-    r
-}
-
-/// [`run_fleet_cancellable`] with the full observability plane
-/// attached: returns the wall-side [`FleetScorecard`] (worker
-/// timelines, claim/steal counters, phase spans, per-cell pressure)
-/// next to the deterministic report, and bumps the optional shared
-/// [`ProgressCounters`] as cells finish so a
+/// Runs a fleet of tenants. See the module docs for the semantics.
+///
+/// Per-cell events are buffered during the (possibly parallel) run and
+/// replayed into `tracer` in cell order after the merge, so it sees the
+/// same deterministic stream at any thread count. The cells poll
+/// `token` once per scheduling burst; cancellation surfaces as
+/// [`SimError::DeadlineExceeded`]. The optional shared
+/// [`ProgressCounters`] are bumped as cells finish, so a
 /// [`crate::progress::ProgressExporter`] can stream live frames.
 ///
-/// The scorecard and progress counters are sampled from wall clocks and
-/// execution geometry; neither can perturb the report, which stays
-/// byte-identical at any `threads`/`shards` setting, traced or not.
-pub fn run_fleet_observed(
+/// Next to the deterministic report comes the wall-side
+/// [`FleetScorecard`] (worker timelines, phase spans, per-cell
+/// pressure). It and the progress counters are sampled from wall clocks
+/// and execution geometry; neither can perturb the report, which stays
+/// byte-identical at any `threads` setting, traced or not.
+pub fn run_fleet(
     tenants: Vec<TenantSpec>,
     config: FleetConfig,
     tracer: &mut dyn Tracer,
@@ -663,7 +524,7 @@ pub fn run_fleet_observed(
     let prep_span = Span::enter("prepare");
 
     // Build cells: contiguous groups in submission order. Membership
-    // depends only on tenants_per_cell — never on shards or threads.
+    // depends only on tenants_per_cell — never on threads.
     let mut cells: Vec<Vec<Tenant>> = Vec::new();
     for (i, spec) in tenants.into_iter().enumerate() {
         if i % config.tenants_per_cell == 0 {
@@ -703,167 +564,57 @@ pub fn run_fleet_observed(
         p.add_queued(total_tenants);
     }
 
-    let threads = config.threads.clamp(1, n_cells);
-    // Auto-sharding: enough batches that a stalled worker leaves meat
-    // to steal, not so many that claim traffic dominates.
-    let shards = if config.shards == 0 {
-        n_cells.min(threads * 4)
-    } else {
-        config.shards.clamp(1, n_cells)
-    };
+    let workers = config.threads.clamp(1, n_cells);
     scorecard.close_span(prep_span);
 
+    // One executor job per cell. A job takes its cell out of a mutex
+    // slot: engines are `Send` but not `Sync`, and the executor shares
+    // its job slice by reference.
     let sim_span = Span::enter("simulate");
-    let epoch = Instant::now();
-    let mut worker_locals: Vec<WorkerLocal>;
-    let outputs: Vec<Mutex<Option<Result<CellDone, SimError>>>> = if threads == 1 {
-        // Serial fast path: no claim traffic, same cell order. Every
-        // shard is trivially claimed (never stolen) by worker 0.
-        let mut local = WorkerLocal::new(0);
-        for s in 0..shards {
-            local.events.push((
-                wall_ns(&epoch),
-                SimEvent::ShardClaimed {
-                    shard: s as u32,
-                    worker: 0,
-                    stolen: false,
-                },
-            ));
-        }
-        local.events.push((
-            wall_ns(&epoch),
-            SimEvent::WorkerState {
-                worker: 0,
-                busy: true,
-            },
-        ));
-        let mut outs = Vec::with_capacity(n_cells);
-        for (idx, cell) in cells.into_iter().enumerate() {
-            outs.push(Mutex::new(Some(run_cell_timed(
-                idx, cell, &config, obs, token, &mut local, progress,
-            ))));
-        }
-        local.events.push((
-            wall_ns(&epoch),
-            SimEvent::WorkerState {
-                worker: 0,
-                busy: false,
-            },
-        ));
-        local.ended_ns = wall_ns(&epoch);
-        worker_locals = vec![local];
-        outs
-    } else {
-        let inputs: Vec<Mutex<Option<Vec<Tenant>>>> =
-            cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
-        let outputs: Vec<Mutex<Option<Result<CellDone, SimError>>>> =
-            (0..n_cells).map(|_| Mutex::new(None)).collect();
-        let locals: Vec<Mutex<Option<WorkerLocal>>> =
-            (0..threads).map(|_| Mutex::new(None)).collect();
-        let claimed: Vec<AtomicBool> = (0..shards).map(|_| AtomicBool::new(false)).collect();
-        let abort = AtomicBool::new(false);
-        // Shard s covers the contiguous cell range [s*per, ...): balanced
-        // split, remainder spread over the first shards.
-        let shard_range = |s: usize| -> std::ops::Range<usize> {
-            let per = n_cells / shards;
-            let extra = n_cells % shards;
-            let start = s * per + s.min(extra);
-            let end = start + per + usize::from(s < extra);
-            start..end
-        };
-        std::thread::scope(|scope| {
-            for w in 0..threads {
-                let inputs = &inputs;
-                let outputs = &outputs;
-                let locals = &locals;
-                let claimed = &claimed;
-                let abort = &abort;
-                let config = &config;
-                let epoch = &epoch;
-                scope.spawn(move || {
-                    let mut local = WorkerLocal::new(w as u32);
-                    loop {
-                        // Claim from the worker's own allotment first
-                        // (shards w, w+T, …), then scan everyone's — the
-                        // steal that keeps idle workers busy.
-                        let own = (w..shards).step_by(threads);
-                        let next = own
-                            .chain(0..shards)
-                            .find(|&s| !claimed[s].swap(true, Ordering::AcqRel));
-                        let Some(s) = next else { break };
-                        local.events.push((
-                            wall_ns(epoch),
-                            SimEvent::ShardClaimed {
-                                shard: s as u32,
-                                worker: w as u32,
-                                stolen: s % threads != w,
-                            },
-                        ));
-                        local.events.push((
-                            wall_ns(epoch),
-                            SimEvent::WorkerState {
-                                worker: w as u32,
-                                busy: true,
-                            },
-                        ));
-                        for idx in shard_range(s) {
-                            let Some(cell) =
-                                inputs[idx].lock().unwrap_or_else(|e| e.into_inner()).take()
-                            else {
-                                continue;
-                            };
-                            if abort.load(Ordering::Relaxed) {
-                                continue;
-                            }
-                            let r =
-                                run_cell_timed(idx, cell, config, obs, token, &mut local, progress);
-                            if r.is_err() {
-                                abort.store(true, Ordering::Relaxed);
-                            }
-                            *outputs[idx].lock().unwrap_or_else(|e| e.into_inner()) = Some(r);
-                        }
-                        local.events.push((
-                            wall_ns(epoch),
-                            SimEvent::WorkerState {
-                                worker: w as u32,
-                                busy: false,
-                            },
-                        ));
-                    }
-                    local.ended_ns = wall_ns(epoch);
-                    *locals[w].lock().unwrap_or_else(|e| e.into_inner()) = Some(local);
-                });
+    let inputs: Vec<Mutex<Option<Vec<Tenant>>>> =
+        cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
+    let outputs = Executor::with_threads(workers).map(&inputs, |idx, slot| {
+        let cell = slot
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take()
+            .expect("the executor runs each cell once");
+        let tenants = cell.len() as u64;
+        let t0 = Instant::now();
+        let r = run_cell(idx as u32, cell, &config, obs, token);
+        let wall = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        if let Some(p) = progress {
+            p.sub_queued(tenants);
+            if let Ok(done) = &r {
+                p.add_done(tenants);
+                p.add_refs(done.reports.iter().map(|t| t.metrics.refs).sum());
             }
-        });
-        worker_locals = Vec::with_capacity(threads);
-        for (w, slot) in locals.iter().enumerate() {
-            worker_locals.push(
-                slot.lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                    .unwrap_or_else(|| WorkerLocal::new(w as u32)),
-            );
+            p.record_latency_ms(wall / 1_000_000);
         }
-        outputs
-    };
+        (worker_index(), wall, r)
+    });
     scorecard.close_span(sim_span);
 
-    // Fold the per-worker buffers into the scorecard: scheduler events
-    // replay through the Tracer machinery, timings become timelines.
+    // Per-worker timelines: busy time is the worker's summed cell walls,
+    // idle time the rest of the simulate phase.
     let report_span = Span::enter("report");
-    let mut wall_by_cell = vec![0u64; n_cells];
-    for local in &mut worker_locals {
-        for (at, e) in local.events.drain(..) {
-            scorecard.record(at, &e);
-        }
-        let timeline = scorecard.worker_mut(local.worker);
-        timeline.busy_ns = local.busy_ns;
-        timeline.idle_ns = local.ended_ns.saturating_sub(local.busy_ns);
-        timeline.cells_run = local.cells_run;
-        for &(idx, wall) in &local.cell_walls {
-            wall_by_cell[idx] = wall;
-        }
-    }
+    let sim_ns = scorecard.phase("simulate");
+    scorecard.workers = (0..workers)
+        .map(|w| {
+            let walls: Vec<u64> = outputs
+                .iter()
+                .filter(|(worker, ..)| *worker == w)
+                .map(|(_, wall, _)| *wall)
+                .collect();
+            let busy_ns = walls.iter().sum();
+            WorkerTimeline {
+                worker: w as u32,
+                busy_ns,
+                idle_ns: sim_ns.saturating_sub(busy_ns),
+                cells_run: walls.len() as u64,
+            }
+        })
+        .collect();
 
     // Deterministic merge, by cell index.
     let mut report = FleetReport {
@@ -883,14 +634,10 @@ pub fn run_fleet_observed(
     let mut makespan_sum: u64 = 0;
     let mut busy_sum: u64 = 0;
     let mut replay: Vec<Vec<(u64, SimEvent)>> = Vec::new();
-    for (idx, slot) in outputs.iter().enumerate() {
-        let done = slot
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-            // An aborted (skipped) cell only happens after some cell
-            // errored; surface cancellation for it too.
-            .unwrap_or(Err(SimError::DeadlineExceeded { refs_done: 0 }))?;
+    for (idx, (_, wall, done)) in outputs.into_iter().enumerate() {
+        // A cell's only error is cancellation, which every other cell
+        // sees at its next poll of the shared token.
+        let done = done?;
         for t in &done.reports {
             st_hist.record(t.metrics.st_cost() as u64);
             swap_hist.record(t.swap_outs);
@@ -913,7 +660,7 @@ pub fn run_fleet_observed(
             swap_events: done.cell.swap_events,
             forced_admissions: done.cell.forced_admissions,
             utilization: cell_util,
-            wall_ns: wall_by_cell[idx],
+            wall_ns: wall,
         });
         report.cells.push(done.cell);
         if trace_on {
@@ -1396,12 +1143,17 @@ fn readmit(cell: &mut [Tenant], config: &FleetConfig, clock: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::observe::EventLog;
+    use crate::observe::{EventLog, NullTracer};
     use crate::policy::cd::{CdPolicy, CdSelector};
     use crate::policy::lru::Lru;
     use crate::policy::ws::WorkingSet;
     use cdmm_lang::ast::AllocArg;
     use cdmm_trace::{synth, Trace};
+
+    /// The report of an untraced, uncancelled run.
+    fn run(tenants: Vec<TenantSpec>, config: FleetConfig) -> Result<FleetReport, SimError> {
+        run_fleet(tenants, config, &mut NullTracer, None, &CancelToken::new()).map(|(r, _)| r)
+    }
 
     fn ws_tenant(name: &str, pages: u32, cycles: u32, arrival: u64) -> TenantSpec {
         TenantSpec {
@@ -1416,7 +1168,7 @@ mod tests {
     fn single_tenant_matches_uniprogramming_faults() {
         let t = synth::cyclic(8, 20);
         let uni = crate::simulate(&t, &mut WorkingSet::new(5_000), crate::SimConfig::default());
-        let r = run_fleet(vec![ws_tenant("t0", 8, 20, 0)], FleetConfig::default()).unwrap();
+        let r = run(vec![ws_tenant("t0", 8, 20, 0)], FleetConfig::default()).unwrap();
         assert_eq!(r.tenants[0].metrics.faults, uni.faults);
         assert_eq!(r.total_faults, uni.faults);
         assert_eq!(r.total_refs, uni.refs);
@@ -1427,7 +1179,7 @@ mod tests {
         let specs: Vec<TenantSpec> = (0..10)
             .map(|i| ws_tenant(&format!("t{i}"), 4, 5, 0))
             .collect();
-        let r = run_fleet(
+        let r = run(
             specs,
             FleetConfig {
                 tenants_per_cell: 4,
@@ -1442,7 +1194,7 @@ mod tests {
     }
 
     #[test]
-    fn report_identical_across_threads_and_shards() {
+    fn report_identical_across_threads() {
         let mk = || -> Vec<TenantSpec> {
             (0..12)
                 .map(|i| {
@@ -1456,25 +1208,17 @@ mod tests {
             tenants_per_cell: 3,
             ..Default::default()
         };
-        let serial = run_fleet(mk(), base).unwrap();
-        for (threads, shards) in [(2, 0), (4, 1), (4, 3), (8, 2)] {
-            let r = run_fleet(
-                mk(),
-                FleetConfig {
-                    threads,
-                    shards,
-                    ..base
-                },
-            )
-            .unwrap();
-            assert_eq!(r, serial, "threads={threads} shards={shards}");
+        let serial = run(mk(), base).unwrap();
+        for threads in [2, 3, 4, 8] {
+            let r = run(mk(), FleetConfig { threads, ..base }).unwrap();
+            assert_eq!(r, serial, "threads={threads}");
         }
     }
 
     #[test]
     fn plentiful_memory_never_swaps() {
         let specs = vec![ws_tenant("a", 4, 20, 0), ws_tenant("b", 4, 20, 0)];
-        let r = run_fleet(
+        let r = run(
             specs,
             FleetConfig {
                 frames_per_cell: 64,
@@ -1492,7 +1236,7 @@ mod tests {
         let specs: Vec<TenantSpec> = (0..3)
             .map(|i| ws_tenant(&format!("t{i}"), 30, 40, 0))
             .collect();
-        let r = run_fleet(
+        let r = run(
             specs,
             FleetConfig {
                 frames_per_cell: 40,
@@ -1540,7 +1284,7 @@ mod tests {
                 arrival: 0,
             },
         ];
-        let r = run_fleet(
+        let r = run(
             specs,
             FleetConfig {
                 frames_per_cell: 36,
@@ -1572,7 +1316,7 @@ mod tests {
                 arrival: 0,
             }
         };
-        let r = run_fleet(
+        let r = run(
             vec![mk("a"), mk("b")],
             FleetConfig {
                 frames_per_cell: 30,
@@ -1593,7 +1337,7 @@ mod tests {
 
     #[test]
     fn lru_tenants_supported() {
-        let r = run_fleet(
+        let r = run(
             vec![TenantSpec {
                 name: "l".into(),
                 trace: CompressedTrace::from_trace(&synth::cyclic(8, 10)),
@@ -1609,7 +1353,7 @@ mod tests {
     #[test]
     fn degenerate_configs_are_typed_errors() {
         assert_eq!(
-            run_fleet(vec![], FleetConfig::default()).err(),
+            run(vec![], FleetConfig::default()).err(),
             Some(SimError::NoProcesses)
         );
         let bad_frames = FleetConfig {
@@ -1617,7 +1361,7 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            run_fleet(vec![ws_tenant("a", 2, 2, 0)], bad_frames),
+            run(vec![ws_tenant("a", 2, 2, 0)], bad_frames),
             Err(SimError::ZeroFrames { .. })
         ));
         let bad_quantum = FleetConfig {
@@ -1625,14 +1369,14 @@ mod tests {
             ..Default::default()
         };
         assert!(matches!(
-            run_fleet(vec![ws_tenant("a", 2, 2, 0)], bad_quantum),
+            run(vec![ws_tenant("a", 2, 2, 0)], bad_quantum),
             Err(SimError::InvalidConfig { .. })
         ));
     }
 
     #[test]
     fn registries_collect_per_tenant_counters() {
-        let r = run_fleet(
+        let r = run(
             vec![ws_tenant("a", 6, 10, 0), ws_tenant("b", 6, 10, 0)],
             FleetConfig {
                 collect_registries: true,
@@ -1651,14 +1395,21 @@ mod tests {
     fn cancellation_surfaces_as_deadline() {
         let token = CancelToken::new();
         token.cancel();
-        let err = run_fleet_cancellable(
-            vec![ws_tenant("a", 8, 20, 0)],
-            FleetConfig::default(),
-            &mut NullTracer,
-            &token,
-        )
-        .unwrap_err();
-        assert!(matches!(err, SimError::DeadlineExceeded { .. }));
+        for threads in [1, 2, 4] {
+            let specs = (0..8)
+                .map(|i| ws_tenant(&format!("t{i}"), 8, 20, 0))
+                .collect();
+            let config = FleetConfig {
+                tenants_per_cell: 2,
+                threads,
+                ..Default::default()
+            };
+            let err = run_fleet(specs, config, &mut NullTracer, None, &token).unwrap_err();
+            assert!(
+                matches!(err, SimError::DeadlineExceeded { .. }),
+                "threads={threads}: {err:?}"
+            );
+        }
     }
 
     fn observe_mix() -> Vec<TenantSpec> {
@@ -1672,30 +1423,33 @@ mod tests {
 
     #[test]
     fn scorecard_covers_workers_phases_and_cells() {
-        let config = FleetConfig {
-            frames_per_cell: 20,
-            tenants_per_cell: 2,
-            threads: 3,
-            ..Default::default()
-        };
-        let mut log = EventLog::new(100_000);
-        let (report, card) =
-            run_fleet_observed(observe_mix(), config, &mut log, None, &CancelToken::new()).unwrap();
-        assert!(!card.workers.is_empty());
-        assert_eq!(
-            card.workers.iter().map(|w| w.cells_run).sum::<u64>(),
-            report.cells.len() as u64
-        );
-        assert!(card.shard_claims > 0);
-        assert_eq!(
-            card.shard_claims,
-            card.workers.iter().map(|w| w.claims).sum::<u64>()
-        );
-        let labels: Vec<&str> = card.phase_ns.iter().map(|(l, _)| *l).collect();
-        assert_eq!(labels, ["prepare", "simulate", "report"]);
-        assert_eq!(card.cells.len(), report.cells.len());
-        assert!(card.hottest_cells(2).len() <= 2);
-        assert!(card.render().contains("worker"));
+        for threads in [1, 3] {
+            let config = FleetConfig {
+                frames_per_cell: 20,
+                tenants_per_cell: 2,
+                threads,
+                ..Default::default()
+            };
+            let mut log = EventLog::new(100_000);
+            let (report, card) =
+                run_fleet(observe_mix(), config, &mut log, None, &CancelToken::new()).unwrap();
+            assert_eq!(card.workers.len(), threads, "threads={threads}");
+            assert_eq!(
+                card.workers.iter().map(|w| w.cells_run).sum::<u64>(),
+                report.cells.len() as u64,
+                "threads={threads}: every cell runs on exactly one worker"
+            );
+            assert_eq!(
+                card.workers.iter().map(|w| w.busy_ns).sum::<u64>(),
+                card.cells.iter().map(|c| c.wall_ns).sum::<u64>(),
+                "threads={threads}: worker busy time is the cells' wall time"
+            );
+            let labels: Vec<&str> = card.phase_ns.iter().map(|(l, _)| *l).collect();
+            assert_eq!(labels, ["prepare", "simulate", "report"]);
+            assert_eq!(card.cells.len(), report.cells.len());
+            assert!(card.hottest_cells(2).len() <= 2);
+            assert!(card.render().contains("worker"));
+        }
     }
 
     #[test]
@@ -1705,14 +1459,14 @@ mod tests {
             tenants_per_cell: 2,
             ..Default::default()
         };
-        let serial = run_fleet(observe_mix(), config).unwrap();
+        let serial = run(observe_mix(), config).unwrap();
         assert_eq!(serial.cpu_per_cell.len(), serial.cells.len());
         for (util, cell) in serial.cpu_per_cell.iter().zip(&serial.cells) {
             let expect = cell.busy as f64 / cell.makespan as f64;
             assert!((util - expect).abs() < 1e-12);
         }
         for threads in [2, 4] {
-            let r = run_fleet(observe_mix(), FleetConfig { threads, ..config }).unwrap();
+            let r = run(observe_mix(), FleetConfig { threads, ..config }).unwrap();
             assert_eq!(r.cpu_per_cell, serial.cpu_per_cell, "threads={threads}");
         }
     }
@@ -1727,7 +1481,7 @@ mod tests {
         };
         let run = |threads: usize| {
             let mut log = EventLog::new(100_000);
-            let (report, _) = run_fleet_observed(
+            let (report, _) = run_fleet(
                 observe_mix(),
                 FleetConfig { threads, ..config },
                 &mut log,
@@ -1743,9 +1497,6 @@ mod tests {
         assert!(kinds.contains(&"tenant_admitted"));
         assert!(kinds.contains(&"tenant_finished"));
         assert!(kinds.contains(&"queue_depth"));
-        // Geometry-dependent events never enter the merged stream.
-        assert!(!kinds.contains(&"shard_claimed"));
-        assert!(!kinds.contains(&"worker_state"));
         for threads in [2, 4, 8] {
             let (report, events) = run(threads);
             assert_eq!(report, base_report, "threads={threads}");
@@ -1760,10 +1511,10 @@ mod tests {
             tenants_per_cell: 2,
             ..Default::default()
         };
-        let untraced = run_fleet(observe_mix(), config).unwrap();
+        let untraced = run(observe_mix(), config).unwrap();
         let mut log = EventLog::new(100_000).with_policy_events(false);
         let (report, _) =
-            run_fleet_observed(observe_mix(), config, &mut log, None, &CancelToken::new()).unwrap();
+            run_fleet(observe_mix(), config, &mut log, None, &CancelToken::new()).unwrap();
         assert_eq!(report, untraced, "tracer must not perturb the report");
         let sched_kinds = [
             "tenant_admitted",

@@ -21,8 +21,10 @@
 //!   loop.
 //! - [`simulate`] — the per-reference oracle [`run`] is pinned to.
 //! - [`policy::cd::CdPolicy`] — the Compiler-Directed policy (Section 4).
-//! - [`fleet`] — multiprogrammed memory: sharded cells of tenants under
-//!   CD's PI-driven allocation and swapper.
+//! - [`fleet`] — multiprogrammed memory: cells of tenants under CD's
+//!   PI-driven allocation and swapper.
+//! - [`executor`] — the one deterministic parallel map: sweep points,
+//!   serve batches and fleet cells run as its jobs, merged by job index.
 //! - [`observe`] — zero-cost-when-disabled event tracing: policies emit
 //!   typed [`SimEvent`]s (grants, hold-overs, evictions, lock breaks,
 //!   degradations) that [`run`] forwards to a [`Tracer`].
@@ -53,6 +55,7 @@
 
 pub mod curve;
 pub mod error;
+pub mod executor;
 pub mod fleet;
 pub mod jsonl;
 pub mod metrics;
@@ -68,8 +71,8 @@ pub use cdmm_trace::cancel::CancelToken;
 pub use curve::{LruCurve, WsCurve};
 pub use error::SimError;
 pub use fleet::{
-    run_fleet, run_fleet_cancellable, run_fleet_observed, run_fleet_with, Admission, CellPressure,
-    CellReport, FleetConfig, FleetReport, FleetScorecard, TenantReport, TenantSpec, WorkerTimeline,
+    run_fleet, Admission, CellPressure, CellReport, FleetConfig, FleetReport, FleetScorecard,
+    TenantReport, TenantSpec, WorkerTimeline,
 };
 pub use metrics::{ExecStats, Metrics};
 pub use observe::{

@@ -175,28 +175,6 @@ pub enum SimEvent {
         /// Tenants swapped out by load control.
         swapped: u32,
     },
-    /// A fleet worker claimed a shard of cells (wall-side: which worker
-    /// claims which shard depends on execution geometry, so this event
-    /// feeds the [`crate::fleet::FleetScorecard`], never the
-    /// deterministic merged stream).
-    ShardClaimed {
-        /// The claimed shard.
-        shard: u32,
-        /// The claiming worker.
-        worker: u32,
-        /// Whether the shard was stolen from another worker's
-        /// allotment.
-        stolen: bool,
-    },
-    /// A fleet worker transitioned between idle (hunting for a shard)
-    /// and busy (running cells). Wall-side, like
-    /// [`SimEvent::ShardClaimed`].
-    WorkerState {
-        /// The worker.
-        worker: u32,
-        /// `true` on idle→busy, `false` on busy→idle.
-        busy: bool,
-    },
 }
 
 impl SimEvent {
@@ -221,8 +199,6 @@ impl SimEvent {
             SimEvent::TenantFinished { .. } => "tenant_finished",
             SimEvent::AdmissionDeferred { .. } => "admission_deferred",
             SimEvent::QueueDepth { .. } => "queue_depth",
-            SimEvent::ShardClaimed { .. } => "shard_claimed",
-            SimEvent::WorkerState { .. } => "worker_state",
         }
     }
 }
@@ -442,14 +418,6 @@ fn event_fields(event: &SimEvent) -> String {
         } => format!(
             "\"ev\":\"{kind}\",\"cell\":{cell},\"ready\":{ready},\"blocked\":{blocked},\"swapped\":{swapped}"
         ),
-        SimEvent::ShardClaimed {
-            shard,
-            worker,
-            stolen,
-        } => format!("\"ev\":\"{kind}\",\"shard\":{shard},\"worker\":{worker},\"stolen\":{stolen}"),
-        SimEvent::WorkerState { worker, busy } => {
-            format!("\"ev\":\"{kind}\",\"worker\":{worker},\"busy\":{busy}")
-        }
     }
 }
 
@@ -1088,15 +1056,6 @@ mod tests {
                 ready: 2,
                 blocked: 1,
                 swapped: 1,
-            },
-            SimEvent::ShardClaimed {
-                shard: 3,
-                worker: 1,
-                stolen: true,
-            },
-            SimEvent::WorkerState {
-                worker: 1,
-                busy: false,
             },
         ];
         for e in events {

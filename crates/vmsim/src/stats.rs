@@ -250,13 +250,6 @@ impl Tracer for MetricsRegistry {
             SimEvent::QueueDepth { ready, .. } => {
                 self.record_sample("queue_ready", u64::from(*ready));
             }
-            SimEvent::ShardClaimed { stolen, .. } => {
-                self.inc("shard_claims");
-                if *stolen {
-                    self.inc("shard_steals");
-                }
-            }
-            SimEvent::WorkerState { .. } => {}
         }
     }
 }

@@ -4,8 +4,8 @@
 //! A fleet clones a few paper workloads into many tenant processes
 //! (deterministically perturbed per tenant), partitions them into
 //! fixed-size memory cells, and runs every cell through the paper's
-//! Section-4 dispatch/swapper loop — sharded and work-stealing, with a
-//! report that is byte-identical at any shard or thread count.
+//! Section-4 dispatch/swapper loop — one parallel job per cell, with a
+//! report that is byte-identical at any thread count.
 //!
 //! ```
 //! use cdmm_repro::{Fleet, PolicySpec};
@@ -125,13 +125,6 @@ impl<'t> Fleet<'t> {
         self
     }
 
-    /// Work-distribution batches; 0 means one shard per cell (the
-    /// default). Never changes the report.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.spec.shards = shards;
-        self
-    }
-
     /// Worker threads (default 1 = serial). Never changes the report.
     pub fn threads(mut self, threads: usize) -> Self {
         self.spec.threads = threads;
@@ -188,8 +181,8 @@ impl<'t> Fleet<'t> {
     }
 
     /// Prepares and runs the fleet, returning the wall-side
-    /// [`FleetScorecard`] (worker timelines, shard claim/steal
-    /// counters, phase spans, hottest cells) next to the deterministic
+    /// [`FleetScorecard`] (worker timelines, phase spans, hottest
+    /// cells) next to the deterministic
     /// report. The scorecard describes *this* execution's geometry and
     /// timing; the report never varies with it.
     pub fn run_scored(self) -> Result<(FleetReport, FleetScorecard), FleetError> {
@@ -226,8 +219,8 @@ mod tests {
     #[test]
     fn report_is_identical_across_execution_geometry() {
         let serial = small().run().expect("serial");
-        let parallel = small().threads(4).shards(2).run().expect("parallel");
-        assert_eq!(serial, parallel, "threads/shards never change the report");
+        let parallel = small().threads(4).run().expect("parallel");
+        assert_eq!(serial, parallel, "threads never change the report");
     }
 
     fn cd_fleet<'t>() -> Fleet<'t> {
@@ -271,7 +264,6 @@ mod tests {
             scorecard.workers.iter().map(|w| w.cells_run).sum::<u64>(),
             report.cells.len() as u64
         );
-        assert!(scorecard.shard_claims > 0);
         assert_eq!(scorecard.cells.len(), report.cells.len());
     }
 

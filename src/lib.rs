@@ -15,7 +15,7 @@
 //!
 //! For multiprogramming at scale, the [`Fleet`] builder clones paper
 //! workloads into many perturbed tenants and schedules them over
-//! sharded memory cells (byte-identical results at any thread count):
+//! independent memory cells (byte-identical results at any thread count):
 //!
 //! ```
 //! use cdmm_repro::{Fleet, PolicySpec};
