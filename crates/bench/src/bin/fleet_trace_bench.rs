@@ -24,6 +24,7 @@
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+use cdmm_bench::timing::paired_overhead;
 use cdmm_bench::BenchEnv;
 use cdmm_core::fleet::{prepare_fleet, FleetSpec};
 use cdmm_core::pipeline::PolicySpec;
@@ -82,29 +83,20 @@ fn main() -> ExitCode {
         "the scheduler plane must actually emit events"
     );
 
-    // The two runs of a pair see the same machine conditions, and the
-    // side that runs first alternates, so each pair's ratio cancels
-    // drift and ordering. A run takes milliseconds on a shared host: a
-    // per-side minimum is decided by one lucky run, a median of paired
-    // ratios is not.
-    let deadline = Instant::now() + 2 * per_side;
-    let (mut min_base, mut min_traced) = (Duration::MAX, Duration::MAX);
-    let mut ratios = Vec::new();
-    while ratios.len() < 3 || Instant::now() < deadline {
-        let mut log = EventLog::new(1 << 20).with_policy_events(false);
-        let first = (ratios.len() % 2 == 1).then(|| timed_run(&spec, &mut log).0);
-        let b = timed_run(&spec, &mut NullTracer).0;
-        let t = first.unwrap_or_else(|| timed_run(&spec, &mut log).0);
-        (min_base, min_traced) = (min_base.min(b), min_traced.min(t));
-        ratios.push(t.as_secs_f64() / b.as_secs_f64().max(1e-12));
-    }
-    ratios.sort_by(f64::total_cmp);
-    let overhead = (ratios[ratios.len() / 2] - 1.0) * 100.0;
+    let timing = paired_overhead(
+        3,
+        2 * per_side,
+        || timed_run(&spec, &mut NullTracer).0,
+        || timed_run(&spec, &mut EventLog::new(1 << 20).with_policy_events(false)).0,
+    );
+    let overhead = timing.overhead_pct;
     println!(
-        "fleet_trace_bench: {tenants} tenants, fastest NullTracer run {min_base:.3?}, \
-         fastest scheduler-plane tracer run {min_traced:.3?}, overhead {overhead:.2}% \
+        "fleet_trace_bench: {tenants} tenants, fastest NullTracer run {:.3?}, \
+         fastest scheduler-plane tracer run {:.3?}, overhead {overhead:.2}% \
          (median of {} pairs, threshold {threshold:.1}%, {} events)",
-        ratios.len(),
+        timing.fastest_base,
+        timing.fastest_other,
+        timing.pairs,
         log.len()
     );
     env.finish();

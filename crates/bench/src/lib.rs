@@ -536,4 +536,53 @@ pub mod timing {
         let mean = total / samples;
         println!("{label:<40} min {min:>12.3?}   mean {mean:>12.3?}   ({samples} samples)");
     }
+
+    /// What [`paired_overhead`] measured.
+    #[derive(Debug, Clone, Copy)]
+    pub struct PairedOverhead {
+        /// Median over pairs of `other / base`, as percent over 1.
+        pub overhead_pct: f64,
+        /// Pairs timed.
+        pub pairs: usize,
+        /// Fastest baseline run.
+        pub fastest_base: Duration,
+        /// Fastest run of the other side.
+        pub fastest_other: Duration,
+    }
+
+    /// Times two closures — each returns the duration of one run — as
+    /// interleaved pairs for `budget` of wall time (at least
+    /// `min_pairs` pairs), and reports the median over pairs of
+    /// `other / base`.
+    ///
+    /// The two runs of a pair see the same machine conditions, and the
+    /// side that runs first alternates, so each pair's ratio cancels
+    /// drift and ordering. A short run on a shared host makes a per-side
+    /// minimum a matter of one lucky run; a median of paired ratios is
+    /// not.
+    pub fn paired_overhead(
+        min_pairs: usize,
+        budget: Duration,
+        mut base: impl FnMut() -> Duration,
+        mut other: impl FnMut() -> Duration,
+    ) -> PairedOverhead {
+        let deadline = Instant::now() + budget;
+        let (mut fastest_base, mut fastest_other) = (Duration::MAX, Duration::MAX);
+        let mut ratios = Vec::new();
+        while ratios.len() < min_pairs.max(1) || Instant::now() < deadline {
+            let first = (ratios.len() % 2 == 1).then(&mut other);
+            let b = base();
+            let o = first.unwrap_or_else(&mut other);
+            fastest_base = fastest_base.min(b);
+            fastest_other = fastest_other.min(o);
+            ratios.push(o.as_secs_f64() / b.as_secs_f64().max(1e-12));
+        }
+        ratios.sort_by(f64::total_cmp);
+        PairedOverhead {
+            overhead_pct: (ratios[ratios.len() / 2] - 1.0) * 100.0,
+            pairs: ratios.len(),
+            fastest_base,
+            fastest_other,
+        }
+    }
 }

@@ -38,6 +38,7 @@ use crate::metrics::Metrics;
 use crate::observe::{Histogram, SimEvent, Span, Tracer};
 use crate::policy::Policy;
 use crate::progress::ProgressCounters;
+use crate::sim::Recorder;
 use crate::stats::{HistogramSummary, MetricsRegistry, RegistrySnapshot};
 
 use std::fmt::Write as _;
@@ -830,11 +831,13 @@ fn run_cell(
                 match next_chunk(t.trace.ops(), &mut t.cursor, config.quantum - executed) {
                     Chunk::Done => Step::Done,
                     Chunk::Run { start, stride, len } => {
-                        t.engine.reference_run(start, stride, len, &mut t.metrics);
+                        let mut rec = Recorder::new(&mut t.metrics);
+                        t.engine.reference_run(start, stride, len, &mut rec);
                         Step::Ran { len: len as u64 }
                     }
                     Chunk::Cycle { body, reps, refs } => {
-                        t.engine.reference_cycle(body, reps, &mut t.metrics);
+                        let mut rec = Recorder::new(&mut t.metrics);
+                        t.engine.reference_cycle(body, reps, &mut rec);
                         Step::Ran { len: refs }
                     }
                     Chunk::Dir(e) => Step::Dir(e),

@@ -16,9 +16,9 @@
 //!   [`cdmm_trace::EventSource`] and accumulates [`Metrics`] (page
 //!   faults `PF`, mean resident memory `MEM`, and space-time cost `ST`
 //!   with a 2000-reference fault service, as in the paper), with an
-//!   optional [`Tracer`] and [`CancelToken`]. A disabled tracer takes
-//!   the run-level batch kernels; an enabled one the per-event traced
-//!   loop.
+//!   optional [`Tracer`] and [`CancelToken`]. A disabled or aggregating
+//!   tracer (a [`MetricsRegistry`]) takes the run-level batch kernels;
+//!   a tracer that needs exact per-event detail the per-event loop.
 //! - [`simulate`] — the per-reference oracle [`run`] is pinned to.
 //! - [`policy::cd::CdPolicy`] — the Compiler-Directed policy (Section 4).
 //! - [`fleet`] — multiprogrammed memory: cells of tenants under CD's
@@ -76,14 +76,14 @@ pub use fleet::{
 };
 pub use metrics::{ExecStats, Metrics};
 pub use observe::{
-    EventLog, Histogram, JsonlSink, NullTracer, SharedSink, SharedTracer, SimEvent, Span, Tee,
-    TimedEvent, Tracer,
+    EventLog, Histogram, JsonlSink, NullTracer, RefSpan, SharedSink, SharedTracer, SimEvent, Span,
+    Tee, TimedEvent, Tracer,
 };
 pub use policy::Policy;
 pub use progress::{
     validate_progress_file, ProgressCounters, ProgressExporter, ProgressFrame, PROGRESS_SCHEMA,
 };
-pub use sim::{run, simulate, SimConfig};
+pub use sim::{run, simulate, Recorder, SimConfig};
 pub use stats::{
     shared_registry, snapshot_shared, HistogramSummary, MetricsRegistry, PiStats, PiSummary,
     RegistrySnapshot, SharedRegistry,

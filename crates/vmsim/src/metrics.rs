@@ -88,14 +88,16 @@ impl Metrics {
         self.peak_resident = self.peak_resident.max(peak);
     }
 
-    /// Records `n` non-faulting references whose resident sizes sum to
-    /// `mem` and never exceed a size already recorded — the WS stride-0
-    /// batch, where the resident set only shrinks mid-run. The caller
-    /// owns the peak invariant; this deliberately skips the max.
-    #[inline]
-    pub fn record_shrinking_span(&mut self, n: u64, mem: u128) {
-        self.refs += n;
-        self.mem_integral += mem;
+    /// Folds in the references another accumulator recorded: every
+    /// count and integral adds, the peak is the larger one.
+    pub fn merge(&mut self, other: &Metrics) {
+        self.refs += other.refs;
+        self.faults += other.faults;
+        self.mem_integral += other.mem_integral;
+        self.fault_mem_integral += other.fault_mem_integral;
+        self.peak_resident = self.peak_resident.max(other.peak_resident);
+        self.recovered_directives += other.recovered_directives;
+        self.degraded_refs += other.degraded_refs;
     }
 
     /// Mean resident memory over reference time (`MEM`).
@@ -232,16 +234,19 @@ mod tests {
             one.record(r, true);
         }
         assert_eq!(batch, one);
+    }
 
-        // A shrinking non-faulting span 5, 4, 4 after a first ref at 5.
-        let mut batch = Metrics::new(2000);
-        batch.record(5, false);
-        batch.record_shrinking_span(3, 5 + 4 + 4);
+    #[test]
+    fn merging_split_accumulators_equals_one() {
+        let sizes = [(1, true), (2, true), (2, false), (5, true), (3, false)];
         let mut one = Metrics::new(2000);
-        for r in [5, 5, 4, 4] {
-            one.record(r, false);
+        let (mut a, mut b) = (Metrics::new(2000), Metrics::new(2000));
+        for (i, &(r, fault)) in sizes.iter().enumerate() {
+            one.record(r, fault);
+            if i % 2 == 0 { &mut a } else { &mut b }.record(r, fault);
         }
-        assert_eq!(batch, one);
+        a.merge(&b);
+        assert_eq!(a, one);
     }
 
     #[test]

@@ -214,6 +214,57 @@ pub struct TimedEvent {
     pub event: SimEvent,
 }
 
+/// A stretch of consecutive references delivered whole to a tracer
+/// that [`Tracer::takes_spans`]. It stands for exactly the
+/// [`SimEvent::Ref`], [`SimEvent::Fault`] and in-reference
+/// [`SimEvent::Evict`] events its references produce on the per-event
+/// path; every other event still arrives through [`Tracer::record`].
+///
+/// Every reference of a span faulted, or none did. After its `i`-th
+/// reference (0-based) `min(first + i, last)` pages are resident, which
+/// covers both shapes the run-level kernels produce: references at
+/// constant occupancy (`first == last`) and an all-miss run filling the
+/// allocation (climbing by one per reference, then holding at the cap).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RefSpan {
+    /// References in the span (at least one).
+    pub refs: u64,
+    /// Whether every reference faulted (otherwise none did).
+    pub fault: bool,
+    /// Resident-set size after the first reference.
+    pub first: u64,
+    /// Resident-set size after the last reference (at least `first`).
+    pub last: u64,
+    /// Pages evicted by normal replacement while these references were
+    /// processed.
+    pub evictions: u64,
+}
+
+impl RefSpan {
+    /// References that raise the occupancy by one each, counting the
+    /// first; the rest sit at `last`.
+    pub fn ramp_len(&self) -> u64 {
+        self.refs.min(self.last - self.first + 1)
+    }
+
+    /// Appends `next` — the references right after this span — when the
+    /// two read as one span; returns whether it did.
+    pub(crate) fn extend(&mut self, next: &RefSpan) -> bool {
+        if next.fault != self.fault {
+            return false;
+        }
+        let climbing = self.ramp_len() == self.refs;
+        if climbing && next.first == self.last + 1 {
+            self.last = next.last;
+        } else if next.first != self.last || next.last != self.last {
+            return false;
+        }
+        self.refs += next.refs;
+        self.evictions += next.evictions;
+        true
+    }
+}
+
 /// A sink for simulation events.
 ///
 /// The driver calls [`Tracer::enabled`] once per run and skips all
@@ -247,8 +298,24 @@ pub trait Tracer {
         true
     }
 
+    /// Whether this tracer only aggregates references. When `true` the
+    /// driver keeps its run-level kernels and delivers references as
+    /// [`RefSpan`]s through [`Tracer::record_span`], in place of
+    /// per-reference `Ref`, `Fault` and in-reference `Evict` events.
+    /// Defaults to `false`: exact per-event streams.
+    fn takes_spans(&self) -> bool {
+        false
+    }
+
     /// Receives one event at reference clock `at`.
     fn record(&mut self, at: u64, event: &SimEvent);
+
+    /// Receives one span whose first reference has clock `at` (so its
+    /// `i`-th reference has clock `at + i`). Only tracers that
+    /// [`Tracer::takes_spans`] are sent spans; the default ignores them.
+    fn record_span(&mut self, at: u64, span: &RefSpan) {
+        let _ = (at, span);
+    }
 
     /// Flushes any buffered output (called once at the end of a run).
     fn flush(&mut self) {}
@@ -562,7 +629,7 @@ impl Tracer for JsonlSink {
 /// A log2-bucketed histogram of `u64` samples.
 ///
 /// Bucket 0 holds the value 0; bucket `k ≥ 1` holds `[2^(k-1), 2^k)`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: Vec<u64>,
     count: u64,
@@ -615,10 +682,46 @@ impl Histogram {
 
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
-        self.buckets[Self::bucket_index(v)] += 1;
-        self.count += 1;
-        self.sum += u128::from(v);
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` samples of value `v`: [`Histogram::record`] `n`
+    /// times, in O(1).
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_index(v)] += n;
+        self.count += n;
+        self.sum += u128::from(v) * u128::from(n);
         self.max = self.max.max(v);
+    }
+
+    /// Records the `n` samples `first, first + 1, …, first + n - 1`:
+    /// [`Histogram::record`] on each, in O(buckets).
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if the ramp runs past `u64::MAX`.
+    pub fn record_ramp(&mut self, first: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let last = first + (n - 1);
+        let mut lo = first;
+        loop {
+            let i = Self::bucket_index(lo);
+            let hi = Self::bucket_hi(i).min(last);
+            self.buckets[i] += hi - lo + 1;
+            if hi == last {
+                break;
+            }
+            lo = hi + 1;
+        }
+        let n128 = u128::from(n);
+        self.count += n;
+        self.sum += u128::from(first) * n128 + n128 * (n128 - 1) / 2;
+        self.max = self.max.max(last);
     }
 
     /// Samples recorded.
@@ -700,6 +803,7 @@ pub struct SharedSink {
     enabled: bool,
     want_refs: bool,
     want_policy: bool,
+    spans: bool,
 }
 
 impl fmt::Debug for SharedSink {
@@ -708,6 +812,7 @@ impl fmt::Debug for SharedSink {
             .field("enabled", &self.enabled)
             .field("want_refs", &self.want_refs)
             .field("want_policy", &self.want_policy)
+            .field("spans", &self.spans)
             .finish_non_exhaustive()
     }
 }
@@ -715,15 +820,21 @@ impl fmt::Debug for SharedSink {
 impl SharedSink {
     /// Snapshots the shared tracer's flags and wraps it.
     pub fn new(inner: &SharedTracer) -> Self {
-        let (enabled, want_refs, want_policy) = {
+        let (enabled, want_refs, want_policy, spans) = {
             let g = inner.lock().expect("tracer lock");
-            (g.enabled(), g.wants_refs(), g.wants_policy_events())
+            (
+                g.enabled(),
+                g.wants_refs(),
+                g.wants_policy_events(),
+                g.takes_spans(),
+            )
         };
         SharedSink {
             inner: Arc::clone(inner),
             enabled,
             want_refs,
             want_policy,
+            spans,
         }
     }
 }
@@ -741,8 +852,19 @@ impl Tracer for SharedSink {
         self.want_policy
     }
 
+    fn takes_spans(&self) -> bool {
+        self.spans
+    }
+
     fn record(&mut self, at: u64, event: &SimEvent) {
         self.inner.lock().expect("tracer lock").record(at, event);
+    }
+
+    fn record_span(&mut self, at: u64, span: &RefSpan) {
+        self.inner
+            .lock()
+            .expect("tracer lock")
+            .record_span(at, span);
     }
 
     fn flush(&mut self) {
@@ -757,6 +879,9 @@ impl Tracer for SharedSink {
 /// Per-reference [`SimEvent::Ref`] events are forwarded only to the
 /// side that opted in via [`Tracer::wants_refs`], so an attached
 /// decision-level tracer never sees reference noise it did not ask for.
+/// The tee takes spans only when every enabled side does: one side
+/// that needs exact per-event detail keeps the whole run on the
+/// per-event path.
 pub struct Tee<'a, 'b> {
     a: &'a mut dyn Tracer,
     b: &'b mut dyn Tracer,
@@ -789,6 +914,20 @@ impl Tracer for Tee<'_, '_> {
 
     fn wants_policy_events(&self) -> bool {
         self.a.wants_policy_events() || self.b.wants_policy_events()
+    }
+
+    fn takes_spans(&self) -> bool {
+        let spans = |t: &dyn Tracer| t.takes_spans() || !t.enabled();
+        self.enabled() && spans(&*self.a) && spans(&*self.b)
+    }
+
+    fn record_span(&mut self, at: u64, span: &RefSpan) {
+        if self.a.enabled() {
+            self.a.record_span(at, span);
+        }
+        if self.b.enabled() {
+            self.b.record_span(at, span);
+        }
     }
 
     fn record(&mut self, at: u64, event: &SimEvent) {
@@ -938,6 +1077,54 @@ mod tests {
         assert_eq!(Histogram::bucket_lo(4), 8);
         assert_eq!(Histogram::bucket_hi(4), 15);
         assert_eq!(Histogram::bucket_hi(64), u64::MAX);
+    }
+
+    #[test]
+    fn spans_extend_only_where_they_read_as_one() {
+        let hit = |r| RefSpan {
+            refs: 1,
+            fault: false,
+            first: r,
+            last: r,
+            evictions: 0,
+        };
+        let miss = |r| RefSpan {
+            fault: true,
+            evictions: 1,
+            ..hit(r)
+        };
+        let mut ramp = miss(3);
+        assert!(ramp.extend(&miss(4)), "climbing by one");
+        assert!(ramp.extend(&miss(5)));
+        assert!(ramp.extend(&miss(5)), "holding at the top");
+        assert!(!ramp.extend(&miss(6)), "a ramp cannot climb after holding");
+        assert!(!ramp.extend(&hit(5)), "hits never join faults");
+        let want = RefSpan {
+            refs: 4,
+            fault: true,
+            first: 3,
+            last: 5,
+            evictions: 4,
+        };
+        assert_eq!(ramp, want);
+        assert_eq!(ramp.ramp_len(), 3);
+        let mut flat = hit(7);
+        assert!(flat.extend(&hit(7)));
+        assert!(!flat.extend(&hit(6)), "occupancy changed");
+        assert_eq!(flat.refs, 2);
+    }
+
+    #[test]
+    fn tee_takes_spans_only_when_every_enabled_side_does() {
+        let mut registry = crate::MetricsRegistry::new();
+        let mut log = EventLog::new(4);
+        assert!(!Tee::new(&mut log, &mut registry).takes_spans());
+        let mut other = crate::MetricsRegistry::new();
+        assert!(Tee::new(&mut other, &mut registry).takes_spans());
+        let mut null = NullTracer;
+        assert!(Tee::new(&mut null, &mut registry).takes_spans());
+        let handle = shared(crate::MetricsRegistry::new());
+        assert!(SharedSink::new(&handle).takes_spans());
     }
 
     #[test]

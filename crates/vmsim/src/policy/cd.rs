@@ -31,10 +31,10 @@ use cdmm_lang::ast::AllocArg;
 use cdmm_trace::validate::{ranges_cover, ranges_overlap};
 use cdmm_trace::{Event, PageId, PageRange, Run};
 
-use crate::metrics::Metrics;
 use crate::observe::{AllocDecision, SimEvent};
 use crate::policy::{batch_all_hit, batch_all_miss, classify_run, Policy, RunClass};
 use crate::recency::RecencySet;
+use crate::sim::Recorder;
 
 /// How the policy picks one request out of an `ALLOCATE` list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -591,54 +591,55 @@ impl Policy for CdPolicy {
         out.append(&mut self.events);
     }
 
-    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, metrics: &mut Metrics) {
-        if self.tracing || len <= 1 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, metrics);
+    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, rec: &mut Recorder<'_>) {
+        if rec.per_ref(self.tracing) || len <= 1 {
+            return crate::policy::reference_run_per_ref(self, start, stride, len, rec);
         }
-        if stride == 0 {
+        // Directive-driven state only changes at directives, so the
+        // degraded flag is constant across the whole run.
+        let batched = if stride == 0 {
             // One page touched `len` times: the first reference settles
             // residency (including any trim), the rest are hits — and
             // hits never trim, whatever locks or limits are active.
             let fault = self.reference(start);
-            metrics.record(self.resident.len(), fault);
-            metrics.record_hits(self.resident.len(), (len - 1) as u64);
-        } else if self.locked.is_empty() && self.hard_limit.is_none() {
-            // With nothing pinned and no hard frame limit, `trim` is
-            // exactly capped LRU eviction: the protected (just-faulted)
-            // page sits at the MRU end and is never the LRU victim, and
-            // a degraded policy has `target == u64::MAX` (plain demand
-            // paging, no evictions). Locks or a hard limit put lock
-            // breaking and pin-skipping in play — per-ref handles those.
-            match classify_run(&self.resident, start, stride, len) {
-                RunClass::AllHit => batch_all_hit(&mut self.resident, start, stride, len, metrics),
-                RunClass::AllMiss => {
-                    batch_all_miss(&mut self.resident, start, stride, len, self.target, metrics)
-                }
-                RunClass::Mixed => {
-                    return crate::policy::reference_run_per_ref(self, start, stride, len, metrics)
-                }
-            }
+            rec.reference(self, fault);
+            rec.hits(self.resident.len(), (len - 1) as u64);
+            len - 1
         } else {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, metrics);
-        }
+            // Hits only reorder recency, so an all-hit run batches under
+            // any locks or limits. For misses: with nothing pinned and no
+            // hard frame limit, `trim` is exactly capped LRU eviction —
+            // the protected (just-faulted) page sits at the MRU end and
+            // is never the LRU victim, and a degraded policy has
+            // `target == u64::MAX` (plain demand paging, no evictions).
+            // Locks or a hard limit put lock breaking and pin-skipping in
+            // play — per-ref handles those.
+            let unpinned = self.locked.is_empty() && self.hard_limit.is_none();
+            match classify_run(&self.resident, start, stride, len) {
+                RunClass::AllHit => batch_all_hit(&mut self.resident, start, stride, len, rec),
+                RunClass::AllMiss if unpinned => {
+                    batch_all_miss(&mut self.resident, start, stride, len, self.target, rec)
+                }
+                _ => return crate::policy::reference_run_per_ref(self, start, stride, len, rec),
+            }
+            len
+        };
         if self.degraded {
-            // Directive-driven state only changes at directives, so the
-            // flag is constant across the whole run.
-            metrics.degraded_refs += len as u64;
+            rec.degraded(batched as u64);
         }
     }
 
-    fn reference_cycle(&mut self, body: &[Run], reps: u32, metrics: &mut Metrics) {
-        if self.tracing {
-            return crate::policy::reference_cycle_per_run(self, body, reps, metrics);
+    fn reference_cycle(&mut self, body: &[Run], reps: u32, rec: &mut Recorder<'_>) {
+        if rec.per_ref(self.tracing) {
+            return crate::policy::reference_cycle_per_run(self, body, reps, rec);
         }
         let period: u64 = body.iter().map(|r| r.len as u64).sum();
         for it in 0..reps {
-            let faults_before = metrics.faults;
+            let faults_before = rec.metrics().faults;
             for r in body {
-                self.reference_run(r.start, r.stride, r.len, metrics);
+                self.reference_run(r.start, r.stride, r.len, rec);
             }
-            if metrics.faults == faults_before {
+            if rec.metrics().faults == faults_before {
                 // Steady state. CD hits only touch recency order — no
                 // trims, no lock or target changes (those move at
                 // directives, and cycle bodies contain none) — so
@@ -647,9 +648,9 @@ impl Policy for CdPolicy {
                 // resident size. Degradation is directive-driven too,
                 // hence constant across the skipped references.
                 let skipped = (reps - 1 - it) as u64 * period;
-                metrics.record_hits(self.resident.len(), skipped);
+                rec.hits(self.resident.len(), skipped);
                 if self.degraded {
-                    metrics.degraded_refs += skipped;
+                    rec.degraded(skipped);
                 }
                 return;
             }

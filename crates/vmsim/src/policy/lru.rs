@@ -2,10 +2,10 @@
 
 use cdmm_trace::{PageId, Run};
 
-use crate::metrics::Metrics;
 use crate::observe::SimEvent;
 use crate::policy::{batch_all_hit, batch_all_miss, classify_run, Policy, RunClass};
 use crate::recency::RecencySet;
+use crate::sim::Recorder;
 
 /// LRU with a fixed frame allocation (the paper's static baseline).
 ///
@@ -98,48 +98,39 @@ impl Policy for Lru {
         out.append(&mut self.events);
     }
 
-    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, metrics: &mut Metrics) {
-        // Tracing needs per-eviction events with per-ref interleaving;
-        // short runs are not worth classifying.
-        if self.tracing || len <= 1 {
-            return crate::policy::reference_run_per_ref(self, start, stride, len, metrics);
+    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, rec: &mut Recorder<'_>) {
+        // An exact event stream needs per-eviction events with per-ref
+        // interleaving; short runs are not worth classifying.
+        if rec.per_ref(self.tracing) || len <= 1 {
+            return crate::policy::reference_run_per_ref(self, start, stride, len, rec);
         }
         if stride == 0 {
             // One page touched `len` times: after the first reference
             // settles residency, the rest are hits at constant size.
             let fault = self.reference(start);
-            metrics.record(self.set.len(), fault);
-            metrics.record_hits(self.set.len(), (len - 1) as u64);
+            rec.reference(self, fault);
+            rec.hits(self.set.len(), (len - 1) as u64);
             return;
         }
         match classify_run(&self.set, start, stride, len) {
-            RunClass::AllHit => batch_all_hit(&mut self.set, start, stride, len, metrics),
+            RunClass::AllHit => batch_all_hit(&mut self.set, start, stride, len, rec),
             RunClass::AllMiss => {
-                batch_all_miss(
-                    &mut self.set,
-                    start,
-                    stride,
-                    len,
-                    self.frames as u64,
-                    metrics,
-                );
+                batch_all_miss(&mut self.set, start, stride, len, self.frames as u64, rec);
                 self.faults += len as u64;
             }
-            RunClass::Mixed => {
-                crate::policy::reference_run_per_ref(self, start, stride, len, metrics)
-            }
+            RunClass::Mixed => crate::policy::reference_run_per_ref(self, start, stride, len, rec),
         }
     }
 
-    fn reference_cycle(&mut self, body: &[Run], reps: u32, metrics: &mut Metrics) {
-        if self.tracing {
-            return crate::policy::reference_cycle_per_run(self, body, reps, metrics);
+    fn reference_cycle(&mut self, body: &[Run], reps: u32, rec: &mut Recorder<'_>) {
+        if rec.per_ref(self.tracing) {
+            return crate::policy::reference_cycle_per_run(self, body, reps, rec);
         }
         let period: u64 = body.iter().map(|r| r.len as u64).sum();
         for it in 0..reps {
             let faults_before = self.faults;
             for r in body {
-                self.reference_run(r.start, r.stride, r.len, metrics);
+                self.reference_run(r.start, r.stride, r.len, rec);
             }
             if self.faults == faults_before {
                 // Steady state: a fault-free iteration leaves the body's
@@ -148,7 +139,7 @@ impl Policy for Lru {
                 // iteration hits everywhere at a constant resident size
                 // and reproduces exactly this recency order.
                 let skipped = (reps - 1 - it) as u64 * period;
-                metrics.record_hits(self.set.len(), skipped);
+                rec.hits(self.set.len(), skipped);
                 return;
             }
         }

@@ -22,9 +22,9 @@ pub mod ws_variants;
 use cdmm_trace::Event;
 use cdmm_trace::{PageId, Run};
 
-use crate::metrics::Metrics;
 use crate::observe::SimEvent;
 use crate::recency::RecencySet;
+use crate::sim::Recorder;
 
 /// A demand-paging memory-management policy.
 ///
@@ -72,18 +72,20 @@ pub trait Policy {
     }
 
     /// Processes one constant-stride run of `len` references — `start,
-    /// start+stride, …` — accumulating into `metrics` exactly what the
-    /// per-reference driver loop would: one [`Metrics::record`] after
-    /// each reference, plus the degraded-reference count.
+    /// start+stride, …` — accounting into `rec` exactly what the
+    /// per-reference driver loop would: one
+    /// [`crate::Metrics::record`] after each reference, plus the
+    /// degraded-reference count, and for an aggregating tracer the
+    /// references as [`crate::observe::RefSpan`]s.
     ///
     /// The default decodes the run reference by reference; the three
     /// paper policies (CD, LRU, WS) override it with closed-form batch
     /// kernels and fall back to this decode in the hard cases. Whatever
-    /// path is taken, the resulting policy state and metrics must be
-    /// byte-identical to the per-ref loop — the contract the
+    /// path is taken, the resulting policy state, metrics and spans must
+    /// be identical to the per-ref loop's — the contract the
     /// `run_level_equivalence` differential harness pins.
-    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, metrics: &mut Metrics) {
-        reference_run_per_ref(self, start, stride, len, metrics);
+    fn reference_run(&mut self, start: PageId, stride: i32, len: u32, rec: &mut Recorder<'_>) {
+        reference_run_per_ref(self, start, stride, len, rec);
     }
 
     /// Processes a cycle — the run sequence `body` repeated `reps`
@@ -97,8 +99,8 @@ pub trait Policy {
     /// iteration is identical, and account for all of them at once —
     /// the run-level counterpart of a loop reaching its resident
     /// working set.
-    fn reference_cycle(&mut self, body: &[Run], reps: u32, metrics: &mut Metrics) {
-        reference_cycle_per_run(self, body, reps, metrics);
+    fn reference_cycle(&mut self, body: &[Run], reps: u32, rec: &mut Recorder<'_>) {
+        reference_cycle_per_run(self, body, reps, rec);
     }
 
     /// Releases the policy's entire resident set — the multiprogrammed
@@ -135,11 +137,11 @@ pub fn reference_cycle_per_run<P: Policy + ?Sized>(
     policy: &mut P,
     body: &[Run],
     reps: u32,
-    metrics: &mut Metrics,
+    rec: &mut Recorder<'_>,
 ) {
     for _ in 0..reps {
         for r in body {
-            policy.reference_run(r.start, r.stride, r.len, metrics);
+            policy.reference_run(r.start, r.stride, r.len, rec);
         }
     }
 }
@@ -153,16 +155,13 @@ pub fn reference_run_per_ref<P: Policy + ?Sized>(
     start: PageId,
     stride: i32,
     len: u32,
-    metrics: &mut Metrics,
+    rec: &mut Recorder<'_>,
 ) {
     let mut p = start.0 as i64;
     let stride = stride as i64;
     for _ in 0..len {
         let fault = policy.reference(PageId(p as u32));
-        metrics.record(policy.resident(), fault);
-        if policy.is_degraded() {
-            metrics.degraded_refs += 1;
-        }
+        rec.reference(policy, fault);
         p += stride;
     }
 }
@@ -208,7 +207,7 @@ pub(crate) fn batch_all_hit(
     start: PageId,
     stride: i32,
     len: u32,
-    metrics: &mut Metrics,
+    rec: &mut Recorder<'_>,
 ) {
     let mut p = start.0 as i64;
     let stride = stride as i64;
@@ -217,34 +216,32 @@ pub(crate) fn batch_all_hit(
         debug_assert!(hit, "classified AllHit");
         p += stride;
     }
-    metrics.record_hits(set.len(), len as u64);
+    rec.hits(set.len(), len as u64);
 }
 
 /// Applies an all-miss stride ≠ 0 run against an LRU set capped at
-/// `cap` frames (`u64::MAX` = uncapped), with metrics in closed form.
+/// `cap` frames (`u64::MAX` = uncapped), with metrics in closed form
+/// ([`Recorder::miss_ramp`]).
 ///
 /// Per-ref, reference `i` leaves `min(r0 + i, cap)` pages resident
 /// (the cap evicts from the LRU end; for CD with `r0 > cap` — possible
 /// after an UNLOCK with no intervening miss — the first miss trims all
-/// the way down, which the same formula covers since the headroom `g`
-/// is 0). The final list is: the surviving old pages (oldest evicted
-/// first) followed by the run pages in run order — run pages are always
-/// younger than every survivor, and an evicted run page (only possible
-/// when `len > cap`) is never revisited because the pages are distinct.
+/// the way down, which the same formula covers). The final list is:
+/// the surviving old pages (oldest evicted first) followed by the run
+/// pages in run order — run pages are always younger than every
+/// survivor, and an evicted run page (only possible when `len > cap`)
+/// is never revisited because the pages are distinct.
 pub(crate) fn batch_all_miss(
     set: &mut RecencySet,
     start: PageId,
     stride: i32,
     len: u32,
     cap: u64,
-    metrics: &mut Metrics,
+    rec: &mut Recorder<'_>,
 ) {
     let r0 = set.len() as u64;
     let k = len as u64;
-    let g = cap.saturating_sub(r0); // headroom before the cap bites
-    let ramp = k.min(g) as u128; // references that grow the set
-    let mem = ramp * r0 as u128 + ramp * (ramp + 1) / 2 + (k - k.min(g)) as u128 * cap as u128;
-    metrics.record_fault_span(k, mem, (r0 + k).min(cap) as usize);
+    rec.miss_ramp(r0, k, cap);
 
     let evict = (r0 + k).saturating_sub(cap);
     let stride64 = stride as i64;

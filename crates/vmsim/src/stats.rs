@@ -2,20 +2,21 @@
 //! log-bucketed streaming histograms fed from the simulator's existing
 //! event stream.
 //!
-//! PR 3's [`crate::observe`] layer gave the simulator typed events; this
+//! The [`crate::observe`] layer gives the simulator typed events; this
 //! module turns those events into *distributions* — the measurement the
 //! paper's own evaluation (Section 5, Tables 2–4) is built on. A
-//! [`MetricsRegistry`] is an ordinary [`Tracer`], so it attaches at the
-//! same decision points the event sinks already use and shares the
-//! zero-cost-when-disabled untraced hot loop: a run without a registry
-//! executes no stats code at all.
+//! [`MetricsRegistry`] is an ordinary [`Tracer`] that only aggregates
+//! ([`Tracer::takes_spans`]), so a registry-attached run keeps the
+//! run-level kernels: they hand it whole [`RefSpan`]s — hits at constant
+//! occupancy, all-miss ramps — which it folds in O(histogram buckets),
+//! and the policies' decision events arrive as usual. A run without a
+//! registry executes no stats code at all.
 //!
 //! Tracked out of the box (names are stable, they appear in snapshots,
 //! scorecards, and `BENCH_*.json` artifacts):
 //!
 //! - `fault_interarrival` — references between consecutive faults.
-//! - `resident_occupancy` — resident-set size sampled at every
-//!   reference (the registry opts into [`Tracer::wants_refs`]).
+//! - `resident_occupancy` — resident-set size after every reference.
 //! - `lock_dwell` — references between a `LOCK` and the `UNLOCK`
 //!   releasing it.
 //! - per-priority-index `ALLOCATE` outcomes and grant-size
@@ -33,7 +34,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use crate::observe::{AllocDecision, Histogram, SimEvent, Tracer};
+use crate::observe::{AllocDecision, Histogram, RefSpan, SimEvent, Tracer};
 
 /// Histogram name: references between consecutive faults.
 pub const FAULT_INTERARRIVAL: &str = "fault_interarrival";
@@ -41,10 +42,12 @@ pub const FAULT_INTERARRIVAL: &str = "fault_interarrival";
 pub const RESIDENT_OCCUPANCY: &str = "resident_occupancy";
 /// Histogram name: references a lock stayed held before its unlock.
 pub const LOCK_DWELL: &str = "lock_dwell";
+/// Gauge name: resident-set size after the latest reference.
+pub const RESIDENT_PAGES: &str = "resident_pages";
 
 /// Per-priority-index `ALLOCATE` statistics: Figure 6 outcome counts
 /// plus the distribution of granted request sizes.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PiStats {
     /// Requests granted at this PI.
     pub granted: u64,
@@ -63,8 +66,21 @@ pub struct PiStats {
 /// facade's `.metrics()` knob) can feed it. Counters and histograms can
 /// also be bumped directly by name for metrics that do not originate as
 /// simulation events.
-#[derive(Debug, Clone, Default)]
+///
+/// The metrics every reference touches — the `refs`, `faults` and
+/// `evictions` counters, the `resident_occupancy` and
+/// `fault_interarrival` histograms and the `resident_pages` gauge —
+/// live in fixed fields, so recording a reference costs no map lookup;
+/// the by-name accessors and [`MetricsRegistry::snapshot`] read them
+/// like any other metric.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsRegistry {
+    refs: Option<u64>,
+    faults: Option<u64>,
+    evictions: Option<u64>,
+    resident_pages: Option<u64>,
+    occupancy: Histogram,
+    interarrival: Histogram,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Histogram>,
@@ -75,15 +91,42 @@ pub struct MetricsRegistry {
     open_locks: Vec<u64>,
 }
 
+/// Adds `n` to a counter that exists once first bumped, even by zero.
+fn bump(counter: &mut Option<u64>, n: u64) {
+    *counter.get_or_insert(0) += n;
+}
+
 impl MetricsRegistry {
     /// An empty registry.
     pub fn new() -> Self {
         Self::default()
     }
 
+    /// The counters kept in fixed fields, by name.
+    fn fixed_counters(&self) -> [(&'static str, Option<u64>); 3] {
+        [
+            ("refs", self.refs),
+            ("faults", self.faults),
+            ("evictions", self.evictions),
+        ]
+    }
+
+    /// The histograms kept in fixed fields, by name.
+    fn fixed_hists(&self) -> [(&'static str, &Histogram); 2] {
+        [
+            (RESIDENT_OCCUPANCY, &self.occupancy),
+            (FAULT_INTERARRIVAL, &self.interarrival),
+        ]
+    }
+
     /// Adds `n` to a named counter.
     pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
+        match name {
+            "refs" => bump(&mut self.refs, n),
+            "faults" => bump(&mut self.faults, n),
+            "evictions" => bump(&mut self.evictions, n),
+            _ => *self.counters.entry(name).or_insert(0) += n,
+        }
     }
 
     /// Increments a named counter by one.
@@ -93,27 +136,45 @@ impl MetricsRegistry {
 
     /// Sets a named gauge to its current value.
     pub fn set_gauge(&mut self, name: &'static str, value: u64) {
-        self.gauges.insert(name, value);
+        if name == RESIDENT_PAGES {
+            self.resident_pages = Some(value);
+        } else {
+            self.gauges.insert(name, value);
+        }
     }
 
     /// Records one sample into a named histogram.
     pub fn record_sample(&mut self, name: &'static str, value: u64) {
-        self.hists.entry(name).or_default().record(value);
+        match name {
+            RESIDENT_OCCUPANCY => self.occupancy.record(value),
+            FAULT_INTERARRIVAL => self.interarrival.record(value),
+            _ => self.hists.entry(name).or_default().record(value),
+        }
     }
 
     /// A counter's current value (0 when never bumped).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        match self.fixed_counters().into_iter().find(|(n, _)| *n == name) {
+            Some((_, fixed)) => fixed.unwrap_or(0),
+            None => self.counters.get(name).copied().unwrap_or(0),
+        }
     }
 
     /// A gauge's current value, when it was ever set.
     pub fn gauge(&self, name: &str) -> Option<u64> {
-        self.gauges.get(name).copied()
+        if name == RESIDENT_PAGES {
+            self.resident_pages
+        } else {
+            self.gauges.get(name).copied()
+        }
     }
 
     /// A named histogram, when any sample was recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
+        match self.fixed_hists().into_iter().find(|(n, _)| *n == name) {
+            Some((_, h)) => (h.count() > 0).then_some(h),
+            None => self.hists.get(name),
+        }
     }
 
     /// Per-priority-index `ALLOCATE` statistics.
@@ -123,7 +184,10 @@ impl MetricsRegistry {
 
     /// True when nothing was ever recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
+        self.fixed_counters().iter().all(|(_, v)| v.is_none())
+            && self.resident_pages.is_none()
+            && self.fixed_hists().iter().all(|(_, h)| h.count() == 0)
+            && self.counters.is_empty()
             && self.gauges.is_empty()
             && self.hists.is_empty()
             && self.pi.is_empty()
@@ -132,21 +196,35 @@ impl MetricsRegistry {
     /// Freezes the current state into an ordered, render-ready
     /// [`RegistrySnapshot`].
     pub fn snapshot(&self) -> RegistrySnapshot {
+        let mut counters = self.counters.clone();
+        for (name, v) in self.fixed_counters() {
+            if let Some(v) = v {
+                counters.insert(name, v);
+            }
+        }
+        let mut gauges = self.gauges.clone();
+        if let Some(v) = self.resident_pages {
+            gauges.insert(RESIDENT_PAGES, v);
+        }
+        let mut hists: BTreeMap<&str, &Histogram> =
+            self.hists.iter().map(|(&k, h)| (k, h)).collect();
+        for (name, h) in self.fixed_hists() {
+            if h.count() > 0 {
+                hists.insert(name, h);
+            }
+        }
         RegistrySnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
+            counters: counters
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
                 .collect(),
-            gauges: self
-                .gauges
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
+            gauges: gauges
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
                 .collect(),
-            hists: self
-                .hists
-                .iter()
-                .map(|(&k, h)| (k.to_string(), HistogramSummary::of(h)))
+            hists: hists
+                .into_iter()
+                .map(|(k, h)| (k.to_string(), HistogramSummary::of(h)))
                 .collect(),
             pi: self
                 .pi
@@ -169,25 +247,51 @@ impl MetricsRegistry {
 
 impl Tracer for MetricsRegistry {
     fn wants_refs(&self) -> bool {
-        // Resident-set occupancy is a per-reference distribution.
+        // Resident-set occupancy is a per-reference distribution; on
+        // the per-event path (a tee with an exact sink) it needs every
+        // reference.
         true
+    }
+
+    fn takes_spans(&self) -> bool {
+        true
+    }
+
+    fn record_span(&mut self, at: u64, span: &RefSpan) {
+        let n = span.refs;
+        bump(&mut self.refs, n);
+        let ramp = span.ramp_len();
+        self.occupancy.record_ramp(span.first, ramp);
+        self.occupancy.record_n(span.last, n - ramp);
+        self.resident_pages = Some(span.last);
+        if span.fault {
+            bump(&mut self.faults, n);
+            if let Some(prev) = self.last_fault_at {
+                self.interarrival.record(at.saturating_sub(prev));
+            }
+            self.interarrival.record_n(1, n - 1);
+            self.last_fault_at = Some(at + (n - 1));
+        }
+        if span.evictions > 0 {
+            bump(&mut self.evictions, span.evictions);
+        }
     }
 
     fn record(&mut self, at: u64, event: &SimEvent) {
         match event {
             SimEvent::Ref { resident, .. } => {
-                self.inc("refs");
-                self.record_sample(RESIDENT_OCCUPANCY, u64::from(*resident));
-                self.set_gauge("resident_pages", u64::from(*resident));
+                bump(&mut self.refs, 1);
+                self.occupancy.record(u64::from(*resident));
+                self.resident_pages = Some(u64::from(*resident));
             }
             SimEvent::Fault { .. } => {
-                self.inc("faults");
+                bump(&mut self.faults, 1);
                 if let Some(prev) = self.last_fault_at {
-                    self.record_sample(FAULT_INTERARRIVAL, at.saturating_sub(prev));
+                    self.interarrival.record(at.saturating_sub(prev));
                 }
                 self.last_fault_at = Some(at);
             }
-            SimEvent::Evict { .. } => self.inc("evictions"),
+            SimEvent::Evict { .. } => bump(&mut self.evictions, 1),
             SimEvent::Alloc {
                 pi,
                 pages,
@@ -497,6 +601,75 @@ mod tests {
         let h = r.histogram(RESIDENT_OCCUPANCY).expect("occupancy");
         assert_eq!(h.count(), 3);
         assert_eq!(h.max(), 2);
+    }
+
+    #[test]
+    fn spans_fold_like_the_events_they_stand_for() {
+        // Three faults climbing 2 → 4 (one eviction), then two hits at 4.
+        let mut spans = MetricsRegistry::new();
+        assert!(spans.takes_spans());
+        let ramp = RefSpan {
+            refs: 3,
+            fault: true,
+            first: 2,
+            last: 4,
+            evictions: 1,
+        };
+        spans.record_span(5, &ramp);
+        let hits = RefSpan {
+            refs: 2,
+            fault: false,
+            first: 4,
+            last: 4,
+            evictions: 0,
+        };
+        spans.record_span(8, &hits);
+        let mut events = MetricsRegistry::new();
+        let page = PageId(0);
+        events.record(6, &SimEvent::Evict { page });
+        for (at, resident, fault) in [
+            (5, 2, true),
+            (6, 3, true),
+            (7, 4, true),
+            (8, 4, false),
+            (9, 4, false),
+        ] {
+            if fault {
+                events.record(at, &SimEvent::Fault { page, resident });
+            }
+            events.record(
+                at,
+                &SimEvent::Ref {
+                    page,
+                    resident,
+                    fault,
+                },
+            );
+        }
+        assert_eq!(spans, events);
+        assert_eq!(spans.snapshot(), events.snapshot());
+        assert_eq!(spans.counter("evictions"), 1);
+        assert_eq!(spans.gauge(RESIDENT_PAGES), Some(4));
+    }
+
+    #[test]
+    fn fixed_fields_answer_by_name_and_keep_zero_counters() {
+        let mut r = MetricsRegistry::new();
+        r.add("faults", 0);
+        r.inc("zeta");
+        r.record_sample(FAULT_INTERARRIVAL, 3);
+        r.set_gauge(RESIDENT_PAGES, 9);
+        assert!(!r.is_empty());
+        let snap = r.snapshot();
+        let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["faults", "zeta"], "a zero bump still lists");
+        assert_eq!(r.counter("faults"), 0);
+        assert_eq!(
+            r.histogram(FAULT_INTERARRIVAL).map(Histogram::count),
+            Some(1)
+        );
+        assert_eq!(r.histogram(RESIDENT_OCCUPANCY), None);
+        assert_eq!(snap.gauges, [(RESIDENT_PAGES.to_string(), 9)]);
     }
 
     #[test]

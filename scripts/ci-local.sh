@@ -25,6 +25,7 @@ step env CDMM_GOLDEN_THREADS=1 cargo test -q --release --test golden_tables
 step env CDMM_GOLDEN_THREADS=4 cargo test -q --release --test golden_tables
 step cargo test -q --release --test trace_events
 step cargo test -q --release --test trace_fingerprints --test interp_fuzz
+step cargo test -q --release --test registry_digests
 step env CDMM_OVERHEAD_PCT=10 cargo run --release -q -p cdmm-bench --bin trace_bench -- --small
 step cargo test -q --release --test executor_determinism
 step cargo run --release -q -p cdmm-bench --bin sweep_bench -- \

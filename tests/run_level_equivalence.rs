@@ -13,15 +13,25 @@
 //! thresholds, and disabled locks, and verbatim-repeated loop windows
 //! that compress into `COp::Cycle` — sometimes sized past the page
 //! universe so the cycle kernels' warmup never reaches steady state.
+//!
+//! The same ladder pins span delivery: a `MetricsRegistry` attached to
+//! a run keeps the run-level kernels and receives `RefSpan`s, and its
+//! whole state must equal that of a registry fed the run's exact
+//! per-event stream (`EventLog::with_refs(true)`) through
+//! `MetricsRegistry::record`, for every policy.
 
 use cdmm_core::{prepare, PipelineConfig, PolicySpec, Prepared};
 use cdmm_lang::ast::AllocArg;
 use cdmm_trace::{CompressedTrace, Event, EventSource, PageId, PageRange, Trace};
 use cdmm_vmsim::policy::cd::{CdPolicy, CdSelector};
+use cdmm_vmsim::policy::clock::Clock;
+use cdmm_vmsim::policy::fifo::Fifo;
 use cdmm_vmsim::policy::lru::Lru;
+use cdmm_vmsim::policy::pff::Pff;
 use cdmm_vmsim::policy::ws::WorkingSet;
 use cdmm_vmsim::{
-    run, simulate, EventLog, Metrics, NullTracer, Policy, SimConfig, TimedEvent, Tracer,
+    run, simulate, EventLog, Histogram, Metrics, MetricsRegistry, NullTracer, Policy, RefSpan,
+    SimConfig, SimEvent, TimedEvent, Tracer,
 };
 use cdmm_workloads::{all, Scale};
 
@@ -100,6 +110,36 @@ fn assert_same_events<P: Policy, F: Fn() -> P>(
     let a: Vec<TimedEvent> = log_flat.events().copied().collect();
     let b: Vec<TimedEvent> = log_comp.events().copied().collect();
     assert_eq!(a, b, "{what}: SimEvent streams drifted");
+}
+
+/// Asserts that a registry fed by span delivery (the run-level kernels
+/// on the compressed trace) ends in exactly the state of one fed the
+/// exact per-event stream of the same run, replayed event by event.
+fn assert_same_registry<P: Policy, F: Fn() -> P>(
+    make: F,
+    flat: &Trace,
+    compressed: &CompressedTrace,
+    what: &str,
+) {
+    let mut spans = MetricsRegistry::new();
+    let m_spans = run_once(compressed, &mut make(), &mut spans);
+    // Per reference at most a Ref, a Fault and (amortized) one
+    // eviction; the rest are per directive.
+    let mut log = EventLog::new(3 * flat.events.len() + 16).with_refs(true);
+    let m_log = run_once(flat, &mut make(), &mut log);
+    assert_eq!(log.dropped(), 0, "{what}: the log must hold the whole run");
+    assert_eq!(m_spans, m_log, "{what}: metrics drifted");
+    let mut replayed = MetricsRegistry::new();
+    for e in log.events() {
+        replayed.record(e.at, &e.event);
+    }
+    assert!(
+        spans == replayed,
+        "{what}: span-fed registry drifted from the replayed event stream\n\
+         spans:  {:?}\nevents: {:?}",
+        spans.snapshot(),
+        replayed.snapshot()
+    );
 }
 
 fn prepared_workloads() -> Vec<Prepared> {
@@ -187,6 +227,146 @@ fn traced_event_streams_match_on_every_workload() {
             p.plain_trace(),
             &format!("{} WS(2000)", p.name()),
         );
+    }
+}
+
+#[test]
+fn span_fed_registries_match_the_event_stream_on_every_workload() {
+    for p in prepared_workloads() {
+        let cd_flat = p.cd_trace().to_trace();
+        let plain_flat = p.plain_trace().to_trace();
+        let min_alloc = p.config().min_alloc;
+        let what = |policy: &str| format!("{} {policy}", p.name());
+        for selector in [CdSelector::Outermost, CdSelector::Innermost] {
+            for limit in [None, Some(4)] {
+                let cd = CdPolicy::new(selector)
+                    .with_min_alloc(min_alloc)
+                    .with_hard_limit(limit);
+                let label = format!("CD({selector:?}) limit {limit:?}");
+                assert_same_registry(|| cd.clone(), &cd_flat, p.cd_trace(), &what(&label));
+            }
+        }
+        let plain = p.plain_trace();
+        for frames in [2usize, 8, 32] {
+            let label = format!("frames {frames}");
+            assert_same_registry(|| Lru::new(frames), &plain_flat, plain, &what(&label));
+            assert_same_registry(|| Fifo::new(frames), &plain_flat, plain, &what(&label));
+            assert_same_registry(|| Clock::new(frames), &plain_flat, plain, &what(&label));
+        }
+        for tau in [100u64, 2000] {
+            let label = format!("WS({tau})");
+            assert_same_registry(|| WorkingSet::new(tau), &plain_flat, plain, &what(&label));
+        }
+        for threshold in [50u64, 1000] {
+            let label = format!("PFF({threshold})");
+            assert_same_registry(|| Pff::new(threshold), &plain_flat, plain, &what(&label));
+        }
+    }
+}
+
+/// A tracer that aggregates, counting what the driver delivers.
+#[derive(Default)]
+struct CountingSpans {
+    records: u64,
+    refs: u64,
+}
+
+impl Tracer for CountingSpans {
+    fn takes_spans(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, _at: u64, _event: &SimEvent) {
+        self.records += 1;
+    }
+
+    fn record_span(&mut self, _at: u64, span: &RefSpan) {
+        self.records += 1;
+        self.refs += span.refs;
+    }
+}
+
+/// The minimal-ST member of a policy family — the operating point
+/// Table 2 reports for it.
+fn min_st(p: &Prepared, family: impl IntoIterator<Item = PolicySpec>) -> PolicySpec {
+    family
+        .into_iter()
+        .map(|spec| (spec, p.run_policy(spec).st_cost()))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .expect("a non-empty family")
+        .0
+}
+
+#[test]
+fn aggregating_tracers_keep_the_run_level_kernels_engaged() {
+    // Deterministic stand-in for "the engine stays engaged": the
+    // per-event loop delivers at least one record per reference, while
+    // the run-level kernels deliver one per stretch of hits or faults.
+    // The points are Table 2's (each family at its minimal ST); in a
+    // thrashing regime faults every few references bound any span
+    // delivery to about two records per fault instead.
+    for name in ["MAIN", "HYBRJ"] {
+        let w = cdmm_workloads::by_name(name, Scale::Paper).expect("paper workload");
+        let p = prepare(w.name, &w.source, PipelineConfig::default())
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let cd = [
+            CdSelector::Innermost,
+            CdSelector::AtLevel(2),
+            CdSelector::AtLevel(3),
+            CdSelector::Outermost,
+        ]
+        .map(|selector| PolicySpec::Cd { selector });
+        let lru = cdmm_core::sweep::full_lru_range(&p).map(|frames| PolicySpec::Lru { frames });
+        let ws = cdmm_core::sweep::ws_tau_grid(&p, 8)
+            .into_iter()
+            .map(|tau| PolicySpec::Ws { tau });
+        for spec in [min_st(&p, cd), min_st(&p, lru), min_st(&p, ws)] {
+            let mut counting = CountingSpans::default();
+            let m = p.run_policy_with(spec, &mut counting);
+            assert_eq!(
+                counting.refs, m.refs,
+                "{name} {spec:?}: spans cover the run"
+            );
+            assert!(
+                counting.records < m.refs / 8,
+                "{name} {spec:?}: {} records for {} references — the run left \
+                 its run-level kernels",
+                counting.records,
+                m.refs
+            );
+        }
+    }
+}
+
+#[test]
+fn batch_histogram_recorders_equal_repeated_record() {
+    let mut rng = SplitMix64(equiv_seed());
+    for case in 0..2000u32 {
+        // Values cluster around bucket boundaries (powers of two) and
+        // the top of the range, where off-by-ones would show.
+        let shift = rng.below(64) as u32;
+        let base = match rng.below(3) {
+            0 => 1u64 << shift,
+            1 => (1u64 << shift).wrapping_sub(1 + rng.below(4)),
+            _ => u64::MAX - rng.below(300),
+        };
+        let n = rng.below(300);
+        let mut batch = Histogram::new();
+        let mut one = Histogram::new();
+        batch.record_n(base, n);
+        for _ in 0..n {
+            one.record(base);
+        }
+        assert_eq!(batch, one, "case {case}: record_n({base}, {n})");
+
+        let first = base.min(u64::MAX - n);
+        let mut batch = Histogram::new();
+        let mut one = Histogram::new();
+        batch.record_ramp(first, n);
+        for i in 0..n {
+            one.record(first + i);
+        }
+        assert_eq!(batch, one, "case {case}: record_ramp({first}, {n})");
     }
 }
 
@@ -372,6 +552,41 @@ fn seeded_adversarial_campaigns_are_byte_identical() {
             &flat,
             &compressed,
             &format!("seed={seed} campaign={campaign} {}", cd.label()),
+        );
+
+        // Span delivery against the exact event stream, for the
+        // kernel policies and the per-reference fallback alike.
+        let label = |policy: String| format!("seed={seed} campaign={campaign} registry {policy}");
+        assert_same_registry(|| cd.clone(), &flat, &compressed, &label(cd.label()));
+        assert_same_registry(
+            || Lru::new(frames),
+            &flat,
+            &compressed,
+            &label(format!("LRU({frames})")),
+        );
+        assert_same_registry(
+            || WorkingSet::new(tau),
+            &flat,
+            &compressed,
+            &label(format!("WS({tau})")),
+        );
+        assert_same_registry(
+            || Fifo::new(frames),
+            &flat,
+            &compressed,
+            &label(format!("FIFO({frames})")),
+        );
+        assert_same_registry(
+            || Clock::new(frames),
+            &flat,
+            &compressed,
+            &label(format!("Clock({frames})")),
+        );
+        assert_same_registry(
+            || Pff::new(tau),
+            &flat,
+            &compressed,
+            &label(format!("PFF({tau})")),
         );
 
         // Every 25th campaign also pins the traced SimEvent stream.
